@@ -76,30 +76,6 @@ core::Rng client_stream(const Federation& federation, std::size_t round_index,
   return federation.root_rng().fork(0xC11E47ULL + round_index).fork(client_id);
 }
 
-void weighted_average_into(nn::Module& global, std::span<nn::Module* const> client_models,
-                           std::span<const std::size_t> sampled,
-                           const Federation& federation) {
-  if (client_models.size() != sampled.size() || sampled.empty()) {
-    throw std::invalid_argument("weighted_average_into: bad inputs");
-  }
-  double total_weight = 0.0;
-  for (std::size_t id : sampled) {
-    total_weight += static_cast<double>(federation.client_shard(id).size());
-  }
-  if (total_weight <= 0.0) {
-    throw std::invalid_argument("weighted_average_into: zero total shard size");
-  }
-
-  // Stream members through a single zero-initialized accumulator: identical
-  // float-op order to the historical batch loop, O(model) working set.
-  StreamingWeightedSum sum(global, total_weight);
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    sum.add(*client_models[i],
-            static_cast<double>(federation.client_shard(sampled[i]).size()));
-  }
-  sum.finalize();
-}
-
 void weighted_state_average_into(nn::Module& global,
                                  std::span<const StateContribution> members) {
   if (members.empty()) {

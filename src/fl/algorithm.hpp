@@ -186,14 +186,6 @@ LocalTrainResult supervised_local_update(nn::Module& model, const data::Dataset&
 core::Rng client_stream(const Federation& federation, std::size_t round_index,
                         std::size_t client_id);
 
-/// Weighted average of the sampled clients' model states into `global`,
-/// weights proportional to shard sizes (the FedAvg rule).  `client_models`
-/// are in the same order as `sampled`.
-void weighted_average_into(nn::Module& global,
-                           std::span<nn::Module* const> client_models,
-                           std::span<const std::size_t> sampled,
-                           const Federation& federation);
-
 /// One member of a weight-space fusion that mixes live modules (fresh
 /// survivors) with raw state snapshots (buffered stale updates).  Exactly one
 /// of `module` / `state` is set; `weight` is the unnormalized mixing weight
@@ -204,9 +196,10 @@ struct StateContribution {
   double weight = 0.0;
 };
 
-/// Generalization of weighted_average_into: averages the contributions into
-/// `global` with weights normalized over the member list.  Every snapshot
-/// must have global's tensor layout (snapshot_state order).
+/// Averages the contributions into `global` with weights normalized over the
+/// member list (the FedAvg rule when the weights are shard sizes; see
+/// shard_weighted_contributions).  Every snapshot must have global's tensor
+/// layout (snapshot_state order).
 void weighted_state_average_into(nn::Module& global,
                                  std::span<const StateContribution> members);
 

@@ -5,7 +5,6 @@
 
 #include "fl/checkpoint/state_io.hpp"
 #include "models/flops.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -113,50 +112,22 @@ bool FedAvg::park_straggler(std::size_t round_index, std::size_t client_id,
   return false;
 }
 
-void FedAvg::collect_due_stale(std::size_t round_index) {
-  stale_updates_.clear();
-  stale_weights_.clear();
-  last_stale_applied_ = 0;
-  if (stale_buffer_ == nullptr) return;
-  for (StaleUpdate& update : stale_buffer_->take_due(round_index)) {
-    const double weight = stale_buffer_->weight(round_index - update.origin_round);
-    if (weight <= 0.0) continue;  // alpha -> inf: the discount IS a discard
-    stale_updates_.push_back(std::move(update));
-    stale_weights_.push_back(weight);
-  }
-  last_stale_applied_ = stale_updates_.size();
+std::vector<std::size_t> FedAvg::apply_fusion_cap(std::vector<std::size_t> survivors) {
+  const FusionCap kept =
+      cap_fusion_members(max_fusion_members_, survivors.size(), stale_.size());
+  survivors.resize(kept.keep_fresh);
+  stale_.keep_newest(kept.keep_stale);
+  last_stale_applied_ = stale_.size();
+  last_fusion_degraded_ = kept.degraded;
+  return survivors;
 }
 
-std::vector<std::size_t> FedAvg::apply_fusion_cap(std::vector<std::size_t> survivors) {
-  last_fusion_degraded_ = false;
-  if (max_fusion_members_ == 0) return survivors;
-  const std::size_t total = survivors.size() + stale_updates_.size();
-  if (total <= max_fusion_members_) return survivors;
-
-  // Fresh survivors outrank stale updates; within each class the canonical
-  // order (ascending client id / origin round) decides who stays.
-  const std::size_t cap = std::max<std::size_t>(1, max_fusion_members_);
-  const std::size_t keep_fresh = std::min(survivors.size(), cap);
-  const std::size_t keep_stale = std::min(stale_updates_.size(), cap - keep_fresh);
-  const std::size_t shed = total - keep_fresh - keep_stale;
-
-  // Stale entries are sorted oldest-origin-first: dropping the front sheds
-  // the most-discounted members and keeps the freshest.
-  const std::size_t drop_stale = stale_updates_.size() - keep_stale;
-  stale_updates_.erase(stale_updates_.begin(),
-                       stale_updates_.begin() + static_cast<std::ptrdiff_t>(drop_stale));
-  stale_weights_.erase(stale_weights_.begin(),
-                       stale_weights_.begin() + static_cast<std::ptrdiff_t>(drop_stale));
-  survivors.resize(keep_fresh);
-  last_stale_applied_ = stale_updates_.size();
-  last_fusion_degraded_ = true;
-  static obs::Counter& shed_counter =
-      obs::MetricsRegistry::global().counter("fl.fusion.shed_members");
-  static obs::Counter& degraded_counter =
-      obs::MetricsRegistry::global().counter("fl.fusion.degraded_rounds");
-  shed_counter.add(shed);
-  degraded_counter.add();
-  return survivors;
+FusionMembers FedAvg::fusion_members(std::span<const std::size_t> sampled) {
+  FusionMembers members;
+  members.fresh_ids.assign(sampled.begin(), sampled.end());
+  for (std::size_t id : sampled) members.fresh_nets.push_back(slots_.at(id).staged.get());
+  members.add_stale(stale_);
+  return members;
 }
 
 void FedAvg::on_client_evicted(std::size_t client_id) {
@@ -174,28 +145,8 @@ void FedAvg::aggregate(std::size_t round_index, std::span<const std::size_t> sam
   (void)round_index;
   obs::ScopedPhaseTimer fuse_timer(phases_, obs::Phase::kFuse);
   obs::TraceSpan span("fl.fuse");
-  if (stale_updates_.empty()) {
-    // Fresh-only path, kept verbatim: runs with no stale buffer (or none due)
-    // must stay bit-identical to the historical aggregation.
-    std::vector<nn::Module*> staged;
-    staged.reserve(sampled.size());
-    for (std::size_t id : sampled) staged.push_back(slots_.at(id).staged.get());
-    weighted_average_into(*global_, staged, sampled, federation());
-    return;
-  }
-  std::vector<StateContribution> members;
-  members.reserve(sampled.size() + stale_updates_.size());
-  for (std::size_t id : sampled) {
-    members.push_back({slots_.at(id).staged.get(), nullptr,
-                       static_cast<double>(federation().client_shard(id).size())});
-  }
-  for (std::size_t k = 0; k < stale_updates_.size(); ++k) {
-    const StaleUpdate& update = stale_updates_[k];
-    const double shard = static_cast<double>(
-        federation().client_shard(update.client_id).size());
-    members.push_back({nullptr, &update.state, shard * stale_weights_[k]});
-  }
-  weighted_state_average_into(*global_, members);
+  weighted_state_average_into(*global_,
+                              shard_weighted_contributions(fusion_members(sampled), federation()));
 }
 
 std::vector<std::size_t> FedAvg::surviving_clients(
@@ -306,10 +257,11 @@ double FedAvg::round(std::size_t round_index, std::span<const std::size_t> sampl
     }
   });
 
-  collect_due_stale(round_index);
+  stale_ = stale_buffer_ != nullptr ? stale_buffer_->take_due_discounted(round_index)
+                                    : DueUpdates{};
   const std::vector<std::size_t> survivors =
       apply_fusion_cap(surviving_clients(sampled));
-  if (!survivors.empty() || !stale_updates_.empty()) aggregate(round_index, survivors);
+  if (!survivors.empty() || !stale_.empty()) aggregate(round_index, survivors);
 
   double loss_total = 0.0;
   std::size_t reported = 0;

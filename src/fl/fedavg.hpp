@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fl/algorithm.hpp"
+#include "fl/server_fusion.hpp"
 
 namespace fedkemf::fl {
 
@@ -60,9 +61,9 @@ class FedAvg : public Algorithm {
   /// Folds the staged client models into the global model.  Default: FedAvg
   /// shard-size-weighted average over parameters and buffers.  Under
   /// simulation `sampled` holds only the clients that completed in time;
-  /// with a stale buffer installed, `stale_updates_` / `stale_weights_` hold
-  /// the late uploads due this round and their staleness discounts, to be
-  /// folded in alongside the fresh cohort.
+  /// with a stale buffer installed, `stale_` holds the late uploads due this
+  /// round and their staleness discounts, to be folded in alongside the
+  /// fresh cohort.
   virtual void aggregate(std::size_t round_index, std::span<const std::size_t> sampled);
 
   /// Algorithm-specific payload a parked straggler needs to be applied in a
@@ -78,22 +79,19 @@ class FedAvg : public Algorithm {
   bool park_straggler(std::size_t round_index, std::size_t client_id, Slot& client_slot,
                       const LocalTrainResult& result);
 
-  /// Drains the stale buffer's due entries into stale_updates_ /
-  /// stale_weights_, skipping entries whose discount underflowed to zero
-  /// (alpha -> inf therefore reproduces the discard policy bitwise).
-  void collect_due_stale(std::size_t round_index);
-
   /// Subset of `sampled` whose round survived every simulator gate (all of
   /// `sampled` when no simulator is installed).  Valid after the parallel
   /// client section of round().
   std::vector<std::size_t> surviving_clients(std::span<const std::size_t> sampled) const;
 
-  /// Enforces max_fusion_members_ over survivors + due stale updates: sheds
-  /// stale entries first (oldest origin first — the most-discounted, lowest-
-  /// priority members), then fresh survivors highest-client-id first, and
-  /// flags the round degraded when anything was shed.  Returns the survivors
-  /// that remain.  No-op (and bitwise-neutral) when the cap is 0.
+  /// Enforces max_fusion_members_ over survivors + due stale updates
+  /// (cap_fusion_members) and flags the round degraded when anything was
+  /// shed.  Returns the survivors that remain.  No-op (and bitwise-neutral)
+  /// when the cap is 0.
   std::vector<std::size_t> apply_fusion_cap(std::vector<std::size_t> survivors);
+
+  /// `sampled`'s staged models plus every entry of stale_, as fusion members.
+  FusionMembers fusion_members(std::span<const std::size_t> sampled);
 
   /// Simulated local training cost for one client this round, in FLOPs.
   double client_training_flops(std::size_t client_id, std::size_t round_index);
@@ -105,8 +103,7 @@ class FedAvg : public Algorithm {
   std::vector<Slot> slots_;
   std::vector<LocalTrainResult> last_results_;  ///< per sampled index, this round
   std::vector<std::uint8_t> completed_;         ///< per sampled index, this round
-  std::vector<StaleUpdate> stale_updates_;      ///< late uploads due this round
-  std::vector<double> stale_weights_;           ///< parallel staleness discounts
+  DueUpdates stale_;                            ///< late uploads due this round
   std::size_t last_stale_applied_ = 0;
   double flops_per_sample_ = -1.0;              ///< lazy models::estimate_cost cache
 };

@@ -1,29 +1,11 @@
 #include "fl/feddf.hpp"
 
-#include <cstring>
+#include <algorithm>
 
-#include "core/tensor_ops.hpp"
 #include "fl/checkpoint/state_io.hpp"
-#include "fl/defense/robust_ensemble.hpp"
-#include "fl/defense/sanitize.hpp"
-#include "fl/fedkemf.hpp"  // ensemble_logits
-#include "nn/loss.hpp"
-#include "obs/trace.hpp"
+#include "fl/server_fusion.hpp"
 
 namespace fedkemf::fl {
-namespace {
-
-core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> indices) {
-  const std::size_t sample_numel = pool.numel() / pool.dim(0);
-  core::Tensor out(core::Shape::nchw(indices.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    std::memcpy(out.data() + i * sample_numel, pool.data() + indices[i] * sample_numel,
-                sample_numel * sizeof(float));
-  }
-  return out;
-}
-
-}  // namespace
 
 FedDf::FedDf(models::ModelSpec spec, LocalTrainConfig local_config, FedDfOptions options)
     : FedAvg(std::move(spec), local_config), options_(options) {}
@@ -60,53 +42,6 @@ void FedDf::load_state(core::ByteReader& reader) {
   if (reputation_) reputation_->load_state(reader);
 }
 
-std::vector<std::size_t> FedDf::screen_members(std::span<const std::size_t> sampled,
-                                               const core::Tensor& probe) {
-  std::vector<nn::Module*> staged;
-  staged.reserve(sampled.size());
-  for (std::size_t id : sampled) {
-    nn::Module* m = slots_.at(id).staged.get();
-    m->set_training(false);
-    staged.push_back(m);
-  }
-  SanitizeResult sanitized = sanitize_updates(
-      staged, std::span<const std::size_t>(sampled.data(), sampled.size()),
-      options_.sanitize);
-  last_rejected_ += sanitized.rejected.size();
-  if (!reputation_) return std::move(sanitized.accepted);
-
-  std::vector<std::size_t>& accepted = sanitized.accepted;
-  if (!accepted.empty()) {
-    const std::size_t rows = probe.dim(0);
-    std::vector<core::Tensor> logits(accepted.size());
-    for (std::size_t i = 0; i < accepted.size(); ++i) {
-      logits[i] = slots_.at(accepted[i]).staged->forward(probe);
-    }
-    std::vector<std::size_t> fused_argmax(rows);
-    core::argmax_rows(ensemble_logits(options_.ensemble, logits), fused_argmax.data());
-    std::vector<std::size_t> member_argmax(rows);
-    for (std::size_t i = 0; i < accepted.size(); ++i) {
-      core::argmax_rows(logits[i], member_argmax.data());
-      std::size_t matches = 0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (member_argmax[r] == fused_argmax[r]) ++matches;
-      }
-      reputation_->observe(accepted[i],
-                           static_cast<double>(matches) / static_cast<double>(rows));
-    }
-  }
-  std::vector<std::size_t> trusted;
-  trusted.reserve(accepted.size());
-  for (std::size_t id : accepted) {
-    if (reputation_->excluded(id)) {
-      ++last_rejected_;
-    } else {
-      trusted.push_back(id);
-    }
-  }
-  return trusted;
-}
-
 void FedDf::on_client_evicted(std::size_t client_id) {
   FedAvg::on_client_evicted(client_id);
   if (reputation_) reputation_->reset(client_id);
@@ -115,154 +50,27 @@ void FedDf::on_client_evicted(std::size_t client_id) {
 void FedDf::aggregate(std::size_t round_index, std::span<const std::size_t> sampled) {
   last_distill_loss_ = 0.0;
   last_rejected_ = 0;
-
   Federation& fed = federation();
-  const core::Tensor& pool = fed.server_pool();
-  const std::size_t pool_size = pool.dim(0);
-  const std::size_t batch_size = std::min(options_.distill_batch_size, pool_size);
-  if (batch_size == 0) {
-    FedAvg::aggregate(round_index, sampled);
+  if (std::min(options_.distill_batch_size, fed.server_pool().dim(0)) == 0) {
+    FedAvg::aggregate(round_index, sampled);  // nothing to distil on
     return;
   }
-
-  std::vector<std::size_t> probe_rows(batch_size);
-  for (std::size_t i = 0; i < batch_size; ++i) probe_rows[i] = i;
-  std::vector<std::size_t> members;
-  std::vector<std::unique_ptr<nn::Module>> stale_nets(stale_updates_.size());
-  std::vector<std::size_t> stale_members;  ///< indices into stale_updates_
-  {
-    obs::ScopedPhaseTimer timer(phases_, obs::Phase::kSanitize);
-    obs::TraceSpan span("fl.sanitize");
-    members = screen_members(sampled, gather_pool(pool, probe_rows));
-    if (!stale_updates_.empty()) {
-      // Same double discount as FedKemf: stale entries are materialized into
-      // scratch models, screened by sanitation + the reputation exclusion
-      // bar (no new observation), then staleness-weighted in fusion.
-      std::vector<nn::Module*> nets;
-      std::vector<std::size_t> entries;
-      nets.reserve(stale_updates_.size());
-      entries.reserve(stale_updates_.size());
-      for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
-        core::Rng scratch_rng = fed.root_rng().fork(0x57A1ED0FULL + e);
-        stale_nets[e] = models::build_model(spec_, scratch_rng);
-        nn::restore_state(*stale_nets[e], stale_updates_[e].state);
-        stale_nets[e]->set_training(false);
-        nets.push_back(stale_nets[e].get());
-        entries.push_back(e);
-      }
-      SanitizeResult screened = sanitize_updates(nets, entries, options_.sanitize);
-      last_rejected_ += screened.rejected.size();
-      for (std::size_t e : screened.accepted) {
-        if (reputation_ && reputation_->excluded(stale_updates_[e].client_id)) {
-          ++last_rejected_;
-          continue;
-        }
-        stale_members.push_back(e);
-      }
-      last_stale_applied_ = stale_members.size();
-    }
-  }
-  if (members.empty() && stale_members.empty()) {
-    return;  // nothing trustworthy: keep last global
-  }
-
-  std::vector<nn::Module*> teachers;
-  teachers.reserve(members.size() + stale_members.size());
-  for (std::size_t id : members) {
-    nn::Module* teacher = slots_.at(id).staged.get();
-    teacher->set_training(false);
-    teachers.push_back(teacher);
-  }
-  for (std::size_t e : stale_members) teachers.push_back(stale_nets[e].get());
-
-  // Warm start from the screened members — robust weight-space fusion when a
-  // robust logit strategy is selected, the shard-weighted FedAvg rule
-  // otherwise — then refine by distilling their ensemble on the server pool.
-  // The default branch is timed inside FedAvg::aggregate; the robust branches
-  // charge kFuse here.
-  switch (options_.ensemble) {
-    case EnsembleStrategy::kTrimmedMean: {
-      obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
-      obs::TraceSpan span("fl.fuse");
-      trimmed_mean_state(teachers, global_model());
-      break;
-    }
-    case EnsembleStrategy::kMedian: {
-      obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
-      obs::TraceSpan span("fl.fuse");
-      median_state(teachers, global_model());
-      break;
-    }
-    default:
-      if (stale_updates_.empty()) {
-        FedAvg::aggregate(round_index, members);
-      } else {
-        // FedAvg::aggregate would fold the whole stale_updates_ list; here
-        // only the *screened* stale entries contribute, staleness-discounted.
-        obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
-        obs::TraceSpan span("fl.fuse");
-        std::vector<StateContribution> contribs;
-        contribs.reserve(members.size() + stale_members.size());
-        for (std::size_t id : members) {
-          contribs.push_back({slots_.at(id).staged.get(), nullptr,
-                              static_cast<double>(fed.client_shard(id).size())});
-        }
-        for (std::size_t e : stale_members) {
-          const StaleUpdate& update = stale_updates_[e];
-          const double shard =
-              static_cast<double>(fed.client_shard(update.client_id).size());
-          contribs.push_back({nullptr, &update.state, shard * stale_weights_[e]});
-        }
-        weighted_state_average_into(global_model(), contribs);
-      }
-      break;
-  }
-
-  std::vector<double> member_weights;
-  if (options_.ensemble == EnsembleStrategy::kAvgLogits &&
-      (reputation_ || !stale_members.empty())) {
-    member_weights.reserve(teachers.size());
-    for (std::size_t id : members) {
-      member_weights.push_back(reputation_ ? reputation_->weight(id) : 1.0);
-    }
-    for (std::size_t e : stale_members) {
-      const double rep =
-          reputation_ ? reputation_->weight(stale_updates_[e].client_id) : 1.0;
-      member_weights.push_back(rep * stale_weights_[e]);
-    }
-  }
-
-  obs::ScopedPhaseTimer distill_timer(phases_, obs::Phase::kDistill);
-  obs::TraceSpan distill_span("fl.distill");
-  nn::DistillationKl kd(options_.distill_temperature);
-  global_model().set_training(true);
-  core::Rng rng = fed.root_rng().fork(0xFEDD1F00ULL + round_index);
-  std::vector<core::Tensor> member_logits(teachers.size());
-  double loss_total = 0.0;
-  std::size_t loss_batches = 0;
-  for (std::size_t epoch = 0; epoch < options_.distill_epochs; ++epoch) {
-    const std::vector<std::size_t> order = rng.permutation(pool_size);
-    for (std::size_t start = 0; start < pool_size; start += batch_size) {
-      const std::size_t count = std::min(batch_size, pool_size - start);
-      core::Tensor batch =
-          gather_pool(pool, std::span<const std::size_t>(order.data() + start, count));
-      for (std::size_t t = 0; t < teachers.size(); ++t) {
-        member_logits[t] = teachers[t]->forward(batch);
-      }
-      const core::Tensor teacher =
-          member_weights.empty()
-              ? ensemble_logits(options_.ensemble, member_logits)
-              : weighted_avg_logits(member_logits, member_weights);
-      core::Tensor student = global_model().forward(batch);
-      nn::LossResult loss = kd.compute(student, teacher);
-      server_optimizer_->zero_grad();
-      global_model().backward(loss.grad);
-      server_optimizer_->step();
-      loss_total += loss.value;
-      ++loss_batches;
-    }
-  }
-  if (loss_batches > 0) last_distill_loss_ = loss_total / static_cast<double>(loss_batches);
+  // The cohort was already capped in FedAvg::round, before screening.
+  const FusionOutcome outcome = fuse_by_distillation(
+      {.distill = {.ensemble = options_.ensemble,
+                   .temperature = options_.distill_temperature,
+                   .epochs = options_.distill_epochs,
+                   .batch_size = options_.distill_batch_size},
+       .sanitize = options_.sanitize,
+       .reputation = reputation_.get(),
+       .member_spec = spec_,
+       .max_members = max_fusion_members_},
+      fusion_members(sampled), fed, global_model(), *server_optimizer_,
+      fed.root_rng().fork(0xFEDD1F00ULL + round_index), phases_);
+  last_rejected_ = outcome.rejected;
+  last_stale_applied_ = outcome.stale_applied;
+  last_fusion_degraded_ = last_fusion_degraded_ || outcome.degraded;
+  last_distill_loss_ = outcome.distill_loss;
 }
 
 }  // namespace fedkemf::fl

@@ -6,7 +6,8 @@
 // that isolates the two halves of FedKEMF's contribution:
 //   * FedDF  = full-model exchange + ensemble distillation fusion;
 //   * FedKEMF = tiny-knowledge-net exchange (DML extraction) + the same
-//     fusion machinery.
+//     fusion machinery — literally: both call fuse_by_distillation
+//     (fl/server_fusion.hpp), each with its own distillation rng stream.
 // Comparing the two shows how much of FedKEMF's gain comes from distillation
 // fusion versus from the knowledge-extraction/communication design.
 //
@@ -55,10 +56,6 @@ class FedDf final : public FedAvg {
   void aggregate(std::size_t round_index, std::span<const std::size_t> sampled) override;
 
  private:
-  /// Same screening contract as FedKemf::screen_members.
-  std::vector<std::size_t> screen_members(std::span<const std::size_t> sampled,
-                                          const core::Tensor& probe);
-
   FedDfOptions options_;
   std::unique_ptr<nn::Sgd> server_optimizer_;
   std::unique_ptr<ReputationTracker> reputation_;

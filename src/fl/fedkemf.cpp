@@ -1,93 +1,17 @@
 #include "fl/fedkemf.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 
 #include "data/dataloader.hpp"
-#include "core/tensor_ops.hpp"
 #include "fl/checkpoint/state_io.hpp"
-#include "fl/defense/robust_ensemble.hpp"
-#include "fl/defense/sanitize.hpp"
 #include "models/flops.hpp"
 #include "nn/loss.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace fedkemf::fl {
-namespace {
-
-/// Gathers rows of an unlabeled [M, C, H, W] pool into a batch tensor.
-core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> indices) {
-  const std::size_t sample_numel = pool.numel() / pool.dim(0);
-  core::Tensor out(
-      core::Shape::nchw(indices.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    std::memcpy(out.data() + i * sample_numel, pool.data() + indices[i] * sample_numel,
-                sample_numel * sizeof(float));
-  }
-  return out;
-}
-
-}  // namespace
-
-core::Tensor ensemble_logits(EnsembleStrategy strategy,
-                             std::span<const core::Tensor> member_logits) {
-  if (member_logits.empty()) throw std::invalid_argument("ensemble_logits: no members");
-  const core::Shape shape = member_logits.front().shape();
-  for (const core::Tensor& m : member_logits) {
-    if (m.shape() != shape) throw std::invalid_argument("ensemble_logits: shape mismatch");
-  }
-  if (shape.rank() != 2) throw std::invalid_argument("ensemble_logits: expected [N, C]");
-  const std::size_t rows = shape[0];
-  const std::size_t cols = shape[1];
-
-  switch (strategy) {
-    case EnsembleStrategy::kMaxLogits: {
-      // Eq. (5): element-wise maxima across all member output vectors.
-      core::Tensor out = member_logits.front().clone();
-      for (std::size_t m = 1; m < member_logits.size(); ++m) {
-        float* __restrict o = out.data();
-        const float* __restrict v = member_logits[m].data();
-        for (std::size_t i = 0; i < out.numel(); ++i) o[i] = std::max(o[i], v[i]);
-      }
-      return out;
-    }
-    case EnsembleStrategy::kAvgLogits: {
-      core::Tensor out = core::Tensor::zeros(shape);
-      const float inv = 1.0f / static_cast<float>(member_logits.size());
-      for (const core::Tensor& m : member_logits) out.add_scaled_(m, inv);
-      return out;
-    }
-    case EnsembleStrategy::kMajorityVote: {
-      // Each member votes for its argmax class; the teacher distribution is
-      // the (smoothed) vote histogram expressed as log-probabilities so it
-      // plugs into the same KL distillation loss.
-      core::Tensor votes = core::Tensor::zeros(shape);
-      std::vector<std::size_t> winners(rows);
-      for (const core::Tensor& m : member_logits) {
-        core::argmax_rows(m, winners.data());
-        for (std::size_t r = 0; r < rows; ++r) votes.data()[r * cols + winners[r]] += 1.0f;
-      }
-      core::Tensor out(shape);
-      const float k = static_cast<float>(member_logits.size());
-      constexpr float kSmoothing = 0.1f;
-      for (std::size_t i = 0; i < out.numel(); ++i) {
-        out.data()[i] = std::log((votes.data()[i] + kSmoothing) /
-                                 (k + kSmoothing * static_cast<float>(cols)));
-      }
-      return out;
-    }
-    case EnsembleStrategy::kTrimmedMean:
-      return trimmed_mean_logits(member_logits);
-    case EnsembleStrategy::kMedian:
-      return median_logits(member_logits);
-  }
-  throw std::logic_error("ensemble_logits: unknown strategy");
-}
 
 DmlResult deep_mutual_update(nn::Module& local_model, nn::Module& knowledge_net,
                              const data::Dataset& train_set,
@@ -386,14 +310,39 @@ double FedKemf::round(std::size_t round_index, std::span<const std::size_t> samp
     if (completed_[i] != 0) survivors.push_back(sampled[i]);
   }
 
-  collect_due_stale(round_index);
-  if (!survivors.empty() || !stale_updates_.empty()) {
+  const DueUpdates stale = stale_buffer_ != nullptr
+                              ? stale_buffer_->take_due_discounted(round_index)
+                              : DueUpdates{};
+  last_stale_applied_ = stale.size();
+  if (!survivors.empty() || !stale.empty()) {
+    FusionMembers candidates;
+    candidates.fresh_ids = std::move(survivors);
+    for (std::size_t id : candidates.fresh_ids) {
+      candidates.fresh_nets.push_back(slots_.at(id).staged.get());
+    }
+    candidates.add_stale(stale);
     if (options_.fuse_by_weight_average) {
       obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
       obs::TraceSpan span("fl.fuse");
-      fuse_weight_average(survivors);
+      weighted_state_average_into(*global_knowledge_,
+                                  shard_weighted_contributions(candidates, fed));
     } else {
-      distill_ensemble(round_index, survivors);
+      // Members are capped after screening here (FedAvg caps before).
+      const FusionOutcome outcome = fuse_by_distillation(
+          {.distill = {.ensemble = options_.ensemble,
+                       .temperature = options_.distill_temperature,
+                       .epochs = options_.distill_epochs,
+                       .batch_size = options_.distill_batch_size},
+           .sanitize = options_.sanitize,
+           .reputation = reputation_.get(),
+           .member_spec = options_.knowledge_spec,
+           .max_members = max_fusion_members_},
+          candidates, fed, *global_knowledge_, *server_optimizer_,
+          fed.root_rng().fork(0xD157111ULL + round_index), phases_);
+      last_rejected_ = outcome.rejected;
+      last_stale_applied_ = outcome.stale_applied;
+      last_fusion_degraded_ = outcome.degraded;
+      last_distill_loss_ = outcome.distill_loss;
     }
   }
 
@@ -405,31 +354,6 @@ double FedKemf::round(std::size_t round_index, std::span<const std::size_t> samp
     ++reported;
   }
   return reported > 0 ? loss_total / static_cast<double>(reported) : 0.0;
-}
-
-void FedKemf::fuse_weight_average(std::span<const std::size_t> sampled) {
-  if (stale_updates_.empty()) {
-    // Fresh-only path, kept verbatim: runs with no stale buffer (or none due)
-    // must stay bit-identical to the historical fusion.
-    std::vector<nn::Module*> staged;
-    staged.reserve(sampled.size());
-    for (std::size_t id : sampled) staged.push_back(slots_.at(id).staged.get());
-    weighted_average_into(*global_knowledge_, staged, sampled, *federation_);
-    return;
-  }
-  std::vector<StateContribution> members;
-  members.reserve(sampled.size() + stale_updates_.size());
-  for (std::size_t id : sampled) {
-    members.push_back({slots_.at(id).staged.get(), nullptr,
-                       static_cast<double>(federation_->client_shard(id).size())});
-  }
-  for (std::size_t k = 0; k < stale_updates_.size(); ++k) {
-    const StaleUpdate& update = stale_updates_[k];
-    const double shard =
-        static_cast<double>(federation_->client_shard(update.client_id).size());
-    members.push_back({nullptr, &update.state, shard * stale_weights_[k]});
-  }
-  weighted_state_average_into(*global_knowledge_, members);
 }
 
 bool FedKemf::park_straggler(std::size_t round_index, std::size_t client_id,
@@ -444,20 +368,6 @@ bool FedKemf::park_straggler(std::size_t round_index, std::size_t client_id,
   update.state = nn::snapshot_state(*client_slot.staged);
   stale_buffer_->push(std::move(update));
   return false;
-}
-
-void FedKemf::collect_due_stale(std::size_t round_index) {
-  stale_updates_.clear();
-  stale_weights_.clear();
-  last_stale_applied_ = 0;
-  if (stale_buffer_ == nullptr) return;
-  for (StaleUpdate& update : stale_buffer_->take_due(round_index)) {
-    const double weight = stale_buffer_->weight(round_index - update.origin_round);
-    if (weight <= 0.0) continue;  // alpha -> inf: the discount IS a discard
-    stale_updates_.push_back(std::move(update));
-    stale_weights_.push_back(weight);
-  }
-  last_stale_applied_ = stale_updates_.size();
 }
 
 void FedKemf::on_client_joined(std::size_t client_id) {
@@ -499,239 +409,6 @@ void FedKemf::on_client_evicted(std::size_t client_id) {
   s.knowledge.reset();
   s.staged.reset();
   if (reputation_) reputation_->reset(client_id);
-}
-
-void FedKemf::distill_ensemble(std::size_t round_index, std::span<const std::size_t> sampled) {
-  Federation& fed = *federation_;
-  const core::Tensor& pool = fed.server_pool();
-  const std::size_t pool_size = pool.dim(0);
-  const std::size_t batch_size = std::min(options_.distill_batch_size, pool_size);
-  if (batch_size == 0) throw std::logic_error("FedKemf: empty server pool");
-
-  // Fixed probe batch (leading pool rows) for reputation agreement scoring —
-  // fixed so scores are comparable across rounds and thread-pool sizes.
-  std::vector<std::size_t> probe_rows(batch_size);
-  for (std::size_t i = 0; i < batch_size; ++i) probe_rows[i] = i;
-
-  std::vector<std::size_t> members;
-  std::vector<std::unique_ptr<nn::Module>> stale_nets(stale_updates_.size());
-  std::vector<std::size_t> stale_members;  ///< indices into stale_updates_
-  {
-    obs::ScopedPhaseTimer timer(phases_, obs::Phase::kSanitize);
-    obs::TraceSpan span("fl.sanitize");
-    const core::Tensor probe = gather_pool(pool, probe_rows);
-    members = screen_members(sampled, probe);
-    if (!stale_updates_.empty()) {
-      // Materialize scratch knowledge nets for the stale entries and pass
-      // them through the same sanitation screen as the fresh cohort, plus the
-      // reputation exclusion bar (no new observation — their agreement is a
-      // round old).  A stale Byzantine upload is therefore doubly discounted:
-      // screened here, then staleness-weighted in fusion.
-      std::vector<nn::Module*> nets;
-      std::vector<std::size_t> entries;
-      nets.reserve(stale_updates_.size());
-      entries.reserve(stale_updates_.size());
-      for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
-        core::Rng scratch_rng = fed.root_rng().fork(0x57A1E4E7ULL + e);
-        stale_nets[e] = models::build_model(options_.knowledge_spec, scratch_rng);
-        nn::restore_state(*stale_nets[e], stale_updates_[e].state);
-        stale_nets[e]->set_training(false);
-        nets.push_back(stale_nets[e].get());
-        entries.push_back(e);  // sanitize labels entries, not client ids: a
-                               // client can appear both fresh and stale
-      }
-      SanitizeResult screened = sanitize_updates(nets, entries, options_.sanitize);
-      last_rejected_ += screened.rejected.size();
-      for (std::size_t e : screened.accepted) {
-        if (reputation_ && reputation_->excluded(stale_updates_[e].client_id)) {
-          ++last_rejected_;
-          continue;
-        }
-        stale_members.push_back(e);
-      }
-      last_stale_applied_ = stale_members.size();
-    }
-  }
-  if (members.empty() && stale_members.empty()) {
-    return;  // every upload screened out: keep last global
-  }
-
-  // Fusion-member cap (resource budgets): fresh members outrank screened
-  // stale entries; within each class the canonical order decides who stays.
-  // Stale indices ascend with origin round, so dropping the front sheds the
-  // most-discounted members first — same policy as FedAvg::apply_fusion_cap.
-  if (max_fusion_members_ > 0 &&
-      members.size() + stale_members.size() > max_fusion_members_) {
-    const std::size_t cap = std::max<std::size_t>(1, max_fusion_members_);
-    const std::size_t keep_fresh = std::min(members.size(), cap);
-    const std::size_t keep_stale = std::min(stale_members.size(), cap - keep_fresh);
-    const std::size_t shed =
-        members.size() + stale_members.size() - keep_fresh - keep_stale;
-    stale_members.erase(stale_members.begin(),
-                        stale_members.end() - static_cast<std::ptrdiff_t>(keep_stale));
-    members.resize(keep_fresh);
-    last_stale_applied_ = stale_members.size();
-    last_fusion_degraded_ = true;
-    static obs::Counter& shed_counter =
-        obs::MetricsRegistry::global().counter("fl.fusion.shed_members");
-    static obs::Counter& degraded_counter =
-        obs::MetricsRegistry::global().counter("fl.fusion.degraded_rounds");
-    shed_counter.add(shed);
-    degraded_counter.add();
-  }
-
-  // Teachers predict in eval mode with frozen statistics; screened stale
-  // knowledge nets join the ensemble after the fresh cohort.
-  std::vector<nn::Module*> teachers;
-  teachers.reserve(members.size() + stale_members.size());
-  for (std::size_t id : members) {
-    nn::Module* t = slots_.at(id).staged.get();
-    t->set_training(false);
-    teachers.push_back(t);
-  }
-  for (std::size_t e : stale_members) teachers.push_back(stale_nets[e].get());
-
-  {
-    // Warm start: fuse the client knowledge networks before distilling.  This
-    // mirrors FedDF (Lin et al. 2020), which the paper's fusion step is
-    // modeled on, and stabilizes early rounds when the student is random.
-    // Under a robust logit strategy the weight-space fusion must be robust
-    // too — a plain average is exactly the aggregation a sign-flip minority
-    // breaks (see robust_ensemble.hpp).
-    obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
-    obs::TraceSpan span("fl.fuse");
-    switch (options_.ensemble) {
-      case EnsembleStrategy::kTrimmedMean:
-        trimmed_mean_state(teachers, *global_knowledge_);
-        break;
-      case EnsembleStrategy::kMedian:
-        median_state(teachers, *global_knowledge_);
-        break;
-      default:
-        if (stale_updates_.empty()) {
-          fuse_weight_average(members);
-        } else {
-          // fuse_weight_average folds the whole stale_updates_ list; here only
-          // the *screened* stale entries may contribute, staleness-discounted.
-          std::vector<StateContribution> contribs;
-          contribs.reserve(members.size() + stale_members.size());
-          for (std::size_t id : members) {
-            contribs.push_back({slots_.at(id).staged.get(), nullptr,
-                                static_cast<double>(fed.client_shard(id).size())});
-          }
-          for (std::size_t k = 0; k < stale_members.size(); ++k) {
-            const StaleUpdate& update = stale_updates_[stale_members[k]];
-            const double shard =
-                static_cast<double>(fed.client_shard(update.client_id).size());
-            contribs.push_back(
-                {nullptr, &update.state, shard * stale_weights_[stale_members[k]]});
-          }
-          weighted_state_average_into(*global_knowledge_, contribs);
-        }
-        break;
-    }
-  }
-
-  // Under reputation + avg-logits, members are soft-weighted by their score
-  // instead of equally; the robust strategies ignore weights by design.
-  // Stale teachers always carry their staleness discount (x reputation).
-  std::vector<double> member_weights;
-  if (options_.ensemble == EnsembleStrategy::kAvgLogits &&
-      (reputation_ || !stale_members.empty())) {
-    member_weights.reserve(teachers.size());
-    for (std::size_t id : members) {
-      member_weights.push_back(reputation_ ? reputation_->weight(id) : 1.0);
-    }
-    for (std::size_t e : stale_members) {
-      const double rep =
-          reputation_ ? reputation_->weight(stale_updates_[e].client_id) : 1.0;
-      member_weights.push_back(rep * stale_weights_[e]);
-    }
-  }
-
-  obs::ScopedPhaseTimer distill_timer(phases_, obs::Phase::kDistill);
-  obs::TraceSpan distill_span("fl.distill");
-  nn::DistillationKl kd(options_.distill_temperature);
-  global_knowledge_->set_training(true);
-  core::Rng rng = fed.root_rng().fork(0xD157111ULL + round_index);
-  std::vector<core::Tensor> member_logits(teachers.size());
-  double loss_total = 0.0;
-  std::size_t loss_batches = 0;
-  for (std::size_t epoch = 0; epoch < options_.distill_epochs; ++epoch) {
-    const std::vector<std::size_t> order = rng.permutation(pool_size);
-    for (std::size_t start = 0; start < pool_size; start += batch_size) {
-      const std::size_t count = std::min(batch_size, pool_size - start);
-      core::Tensor batch = gather_pool(
-          pool, std::span<const std::size_t>(order.data() + start, count));
-      for (std::size_t t = 0; t < teachers.size(); ++t) {
-        member_logits[t] = teachers[t]->forward(batch);
-      }
-      const core::Tensor teacher =
-          member_weights.empty()
-              ? ensemble_logits(options_.ensemble, member_logits)
-              : weighted_avg_logits(member_logits, member_weights);
-      core::Tensor student = global_knowledge_->forward(batch);
-      nn::LossResult loss = kd.compute(student, teacher);
-      server_optimizer_->zero_grad();
-      global_knowledge_->backward(loss.grad);
-      server_optimizer_->step();
-      loss_total += loss.value;
-      ++loss_batches;
-    }
-  }
-  if (loss_batches > 0) last_distill_loss_ = loss_total / static_cast<double>(loss_batches);
-}
-
-std::vector<std::size_t> FedKemf::screen_members(std::span<const std::size_t> sampled,
-                                                 const core::Tensor& probe) {
-  std::vector<nn::Module*> staged;
-  staged.reserve(sampled.size());
-  for (std::size_t id : sampled) {
-    nn::Module* m = slots_.at(id).staged.get();
-    m->set_training(false);
-    staged.push_back(m);
-  }
-
-  // Pass 1: sanitation — drop non-finite uploads and norm outliers.
-  SanitizeResult sanitized = sanitize_updates(
-      staged, std::span<const std::size_t>(sampled.data(), sampled.size()),
-      options_.sanitize);
-  last_rejected_ += sanitized.rejected.size();
-  if (!reputation_) return std::move(sanitized.accepted);
-
-  // Pass 2: reputation — score each surviving member by how often its argmax
-  // on the probe batch agrees with the fused ensemble's, then drop members
-  // whose cross-round EMA has fallen below the exclusion threshold.
-  std::vector<std::size_t>& accepted = sanitized.accepted;
-  if (!accepted.empty()) {
-    const std::size_t rows = probe.dim(0);
-    std::vector<core::Tensor> logits(accepted.size());
-    for (std::size_t i = 0; i < accepted.size(); ++i) {
-      logits[i] = slots_.at(accepted[i]).staged->forward(probe);
-    }
-    std::vector<std::size_t> fused_argmax(rows);
-    core::argmax_rows(ensemble_logits(options_.ensemble, logits), fused_argmax.data());
-    std::vector<std::size_t> member_argmax(rows);
-    for (std::size_t i = 0; i < accepted.size(); ++i) {
-      core::argmax_rows(logits[i], member_argmax.data());
-      std::size_t matches = 0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (member_argmax[r] == fused_argmax[r]) ++matches;
-      }
-      reputation_->observe(accepted[i],
-                           static_cast<double>(matches) / static_cast<double>(rows));
-    }
-  }
-  std::vector<std::size_t> trusted;
-  trusted.reserve(accepted.size());
-  for (std::size_t id : accepted) {
-    if (reputation_->excluded(id)) {
-      ++last_rejected_;
-    } else {
-      trusted.push_back(id);
-    }
-  }
-  return trusted;
 }
 
 }  // namespace fedkemf::fl

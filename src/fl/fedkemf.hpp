@@ -14,8 +14,10 @@
 // Server side ("multi-model knowledge fusion"): the received knowledge
 // networks are ensembled (max-logits by default; average / majority-vote are
 // the paper's ablation) and distilled into the global knowledge network by
-// minimizing KL(ensemble || theta_g) on the unlabeled server pool.  The
-// alternative weight-average fusion mode the paper mentions is available via
+// minimizing KL(ensemble || theta_g) on the unlabeled server pool.  That step
+// is fuse_by_distillation (fl/server_fusion.hpp), the same routine FedDF
+// calls; ensemble_logits is declared there too.  The alternative
+// weight-average fusion mode the paper mentions is available via
 // FedKemfOptions::fuse_by_weight_average.
 
 #include <memory>
@@ -23,14 +25,10 @@
 
 #include "fl/algorithm.hpp"
 #include "fl/defense/reputation.hpp"
+#include "fl/server_fusion.hpp"
 #include "nn/optim.hpp"
 
 namespace fedkemf::fl {
-
-/// Fuses per-member logits [N, C] into ensemble teacher logits (Eq. 5 for
-/// kMaxLogits). Exposed for unit tests and the ensemble-strategy ablation.
-core::Tensor ensemble_logits(EnsembleStrategy strategy,
-                             std::span<const core::Tensor> member_logits);
 
 /// One deep-mutual-learning pass over a client shard (Algorithm 1 lines 3-9).
 /// Both models are updated in place; returns the mean total loss of the
@@ -115,22 +113,11 @@ class FedKemf final : public Algorithm {
   /// Resident bytes a built slot charges against BudgetCategory::kClientState
   /// (0 for an empty slot).
   std::size_t slot_state_bytes(Slot& s) const;
-  void distill_ensemble(std::size_t round_index, std::span<const std::size_t> sampled);
-  void fuse_weight_average(std::span<const std::size_t> sampled);
   double client_training_flops(std::size_t client_id, std::size_t round_index);
   /// Parks a straggler's staged knowledge net in the stale buffer (no-op
   /// without one).  Returns true when the lateness draw is 0 — the update
   /// lands within its own round and the caller folds it back into the cohort.
   bool park_straggler(std::size_t round_index, std::size_t client_id, Slot& client_slot);
-  /// Drains due stale entries into stale_updates_ / stale_weights_, skipping
-  /// zero discounts (alpha -> inf reproduces the discard policy bitwise).
-  void collect_due_stale(std::size_t round_index);
-  /// Sanitation + reputation screening; returns the member ids allowed into
-  /// fusion (subset of `sampled`, order preserved) and updates
-  /// last_rejected_.  `probe` is the fixed server-pool probe batch used for
-  /// reputation agreement scoring.
-  std::vector<std::size_t> screen_members(std::span<const std::size_t> sampled,
-                                          const core::Tensor& probe);
 
   std::vector<models::ModelSpec> arch_pool_;
   LocalTrainConfig local_config_;
@@ -143,8 +130,6 @@ class FedKemf final : public Algorithm {
   std::vector<std::uint8_t> completed_;        ///< per sampled index, this round
   std::vector<double> arch_flops_per_sample_;  ///< lazy, indexed like arch_pool_
   std::unique_ptr<ReputationTracker> reputation_;
-  std::vector<StaleUpdate> stale_updates_;     ///< late uploads due this round
-  std::vector<double> stale_weights_;          ///< parallel staleness discounts
   std::size_t last_stale_applied_ = 0;
   double last_distill_loss_ = 0.0;             ///< mean KL of the last fusion
   std::size_t last_rejected_ = 0;              ///< screened-out uploads, last round

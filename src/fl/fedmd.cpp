@@ -1,30 +1,17 @@
 #include "fl/fedmd.hpp"
 
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
 #include "fl/checkpoint/state_io.hpp"
+#include "fl/server_fusion.hpp"
 #include "models/flops.hpp"
 #include "nn/loss.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace fedkemf::fl {
-namespace {
-
-core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> indices) {
-  const std::size_t sample_numel = pool.numel() / pool.dim(0);
-  core::Tensor out(core::Shape::nchw(indices.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    std::memcpy(out.data() + i * sample_numel, pool.data() + indices[i] * sample_numel,
-                sample_numel * sizeof(float));
-  }
-  return out;
-}
-
-}  // namespace
 
 FedMd::FedMd(std::vector<models::ModelSpec> client_arch_pool, LocalTrainConfig local_config,
              FedMdOptions options)
@@ -165,7 +152,7 @@ double FedMd::round(std::size_t round_index, std::span<const std::size_t> sample
   core::Rng pick_rng = fed.root_rng().fork(0xFED3B47CULL + round_index);
   const std::vector<std::size_t> picks =
       pick_rng.sample_without_replacement(public_pool.dim(0), batch_count);
-  const core::Tensor public_batch = gather_pool(public_pool, picks);
+  const core::Tensor public_batch = gather_rows(public_pool, picks);
   const std::size_t classes = arch_pool_.front().num_classes;
   const std::size_t logits_bytes =
       core::tensor_wire_size(core::Tensor(core::Shape::matrix(batch_count, classes)));

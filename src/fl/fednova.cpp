@@ -52,11 +52,11 @@ void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sa
   // buffered update's scalars.  With no stale entries every loop below runs
   // the historical fresh-only iteration bitwise.
   auto stale_shard_weight = [&](std::size_t e) {
-    return static_cast<double>(fed.client_shard(stale_updates_[e].client_id).size()) *
-           stale_weights_[e];
+    return static_cast<double>(fed.client_shard(stale_.updates[e].client_id).size()) *
+           stale_.weights[e];
   };
   auto stale_tau = [&](std::size_t e) {
-    const double tau = stale_updates_[e].scalars.at(0);
+    const double tau = stale_.updates[e].scalars.at(0);
     if (tau <= 0.0) throw std::logic_error("FedNova: stale update with zero local steps");
     return tau;
   };
@@ -64,7 +64,7 @@ void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sa
   for (std::size_t id : sampled) {
     total_weight += static_cast<double>(fed.client_shard(id).size());
   }
-  for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
+  for (std::size_t e = 0; e < stale_.size(); ++e) {
     total_weight += stale_shard_weight(e);
   }
 
@@ -76,7 +76,7 @@ void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sa
     if (tau == 0) throw std::logic_error("FedNova: client took zero local steps");
     tau_eff += p * static_cast<double>(tau);
   }
-  for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
+  for (std::size_t e = 0; e < stale_.size(); ++e) {
     tau_eff += (stale_shard_weight(e) / total_weight) * stale_tau(e);
   }
 
@@ -97,11 +97,11 @@ void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sa
       const std::size_t n = update.numel();
       for (std::size_t j = 0; j < n; ++j) u[j] += scale * (start[j] - y[j]);
     }
-    for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
+    for (std::size_t e = 0; e < stale_.size(); ++e) {
       const double p = stale_shard_weight(e) / total_weight;
       const float scale = static_cast<float>(p / stale_tau(e));
       const float* __restrict start = round_start_[k].data();
-      const float* __restrict y = stale_updates_[e].state.at(k).data();
+      const float* __restrict y = stale_.updates[e].state.at(k).data();
       float* __restrict u = update.data();
       const std::size_t n = update.numel();
       for (std::size_t j = 0; j < n; ++j) u[j] += scale * (start[j] - y[j]);
@@ -124,10 +124,10 @@ void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sa
           static_cast<double>(fed.client_shard(id).size()) / total_weight);
       avg.add_scaled_(slots_.at(id).staged->buffers()[k]->value, p);
     }
-    for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
+    for (std::size_t e = 0; e < stale_.size(); ++e) {
       // snapshot_state lays out parameters first, then buffers.
       const float p = static_cast<float>(stale_shard_weight(e) / total_weight);
-      avg.add_scaled_(stale_updates_[e].state.at(global_params.size() + k), p);
+      avg.add_scaled_(stale_.updates[e].state.at(global_params.size() + k), p);
     }
     global_buffers[k]->value = std::move(avg);
   }

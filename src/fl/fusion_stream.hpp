@@ -5,11 +5,8 @@
 // The mean-family statistics (FedAvg/FedProx/FedNova) are linear: the fused
 // state is sum_i (w_i / W) * state_i with W known up front from the member
 // weights alone.  StreamingWeightedSum exploits that — it folds one member at
-// a time into a single accumulator (O(model) RAM, not O(cohort)) and is
-// bitwise-identical to weighted_average_into / weighted_state_average_into by
-// construction: same accumulator initialization, same float(w / W) scale,
-// same per-member accumulate order.  weighted_state_average_into is in fact
-// implemented on top of it.
+// a time into a single accumulator (O(model) RAM, not O(cohort));
+// weighted_state_average_into is implemented on top of it.
 //
 // Order statistics (trimmed mean / median) are not streamable: they need all
 // member values per coordinate.  FusionReservoir is the graceful-degradation

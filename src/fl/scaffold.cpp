@@ -169,7 +169,7 @@ void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> s
   auto global_params = global_model().parameters();
   const std::size_t num_params = global_params.size();
 
-  if (stale_updates_.empty()) {
+  if (stale_.empty()) {
     // Fresh-only path, kept verbatim for bit-stability.
     const float inv_s = 1.0f / static_cast<float>(sampled.size());
 
@@ -219,7 +219,7 @@ void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> s
   // applied g + c_origin - c_i, so under today's control c_now the
   // equivalent endpoint is y + lr*K*(c_origin - c_now).
   double effective = static_cast<double>(sampled.size());
-  for (const double w : stale_weights_) effective += w;
+  for (const double w : stale_.weights) effective += w;
   const float inv_w = static_cast<float>(1.0 / effective);
 
   for (std::size_t k = 0; k < num_params; ++k) {
@@ -232,9 +232,9 @@ void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> s
       const float* __restrict y = client_params[k]->value.data();
       for (std::size_t j = 0; j < n; ++j) x[j] += inv_w * (y[j] - start[j]);
     }
-    for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
-      const StaleUpdate& update = stale_updates_[e];
-      const float w = static_cast<float>(stale_weights_[e]);
+    for (std::size_t e = 0; e < stale_.size(); ++e) {
+      const StaleUpdate& update = stale_.updates[e];
+      const float w = static_cast<float>(stale_.weights[e]);
       const float lr_k = static_cast<float>(update.scalars.at(1) * update.scalars.at(0));
       float* __restrict x = next.data();
       const float* __restrict y = update.state.at(k).data();
@@ -255,9 +255,9 @@ void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> s
       server_control_[k].add_scaled_(delta[k], inv_n);
     }
   }
-  for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
-    const StaleUpdate& update = stale_updates_[e];
-    const float scale = inv_n * static_cast<float>(stale_weights_[e]);
+  for (std::size_t e = 0; e < stale_.size(); ++e) {
+    const StaleUpdate& update = stale_.updates[e];
+    const float scale = inv_n * static_cast<float>(stale_.weights[e]);
     for (std::size_t k = 0; k < server_control_.size(); ++k) {
       server_control_[k].add_scaled_(update.extra_state.at(k), scale);
     }
@@ -268,10 +268,10 @@ void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> s
   for (std::size_t id : sampled) {
     total_weight += static_cast<double>(fed.client_shard(id).size());
   }
-  for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
+  for (std::size_t e = 0; e < stale_.size(); ++e) {
     total_weight +=
-        static_cast<double>(fed.client_shard(stale_updates_[e].client_id).size()) *
-        stale_weights_[e];
+        static_cast<double>(fed.client_shard(stale_.updates[e].client_id).size()) *
+        stale_.weights[e];
   }
   auto global_buffers = global_model().buffers();
   for (std::size_t k = 0; k < global_buffers.size(); ++k) {
@@ -281,11 +281,11 @@ void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> s
           static_cast<double>(fed.client_shard(id).size()) / total_weight);
       avg.add_scaled_(slots_.at(id).staged->buffers()[k]->value, p);
     }
-    for (std::size_t e = 0; e < stale_updates_.size(); ++e) {
-      const StaleUpdate& update = stale_updates_[e];
+    for (std::size_t e = 0; e < stale_.size(); ++e) {
+      const StaleUpdate& update = stale_.updates[e];
       const float p = static_cast<float>(
           static_cast<double>(fed.client_shard(update.client_id).size()) *
-          stale_weights_[e] / total_weight);
+          stale_.weights[e] / total_weight);
       avg.add_scaled_(update.state.at(num_params + k), p);
     }
     global_buffers[k]->value = std::move(avg);

@@ -20,6 +20,12 @@ std::size_t stale_update_bytes(const StaleUpdate& update) {
   return bytes;
 }
 
+void DueUpdates::keep_newest(std::size_t count) {
+  const auto drop = static_cast<std::ptrdiff_t>(updates.size() - std::min(count, updates.size()));
+  updates.erase(updates.begin(), updates.begin() + drop);
+  weights.erase(weights.begin(), weights.begin() + drop);
+}
+
 StaleUpdateBuffer::StaleUpdateBuffer(StalenessOptions options) : options_(options) {
   if (!(options_.alpha >= 0.0)) {
     throw std::invalid_argument("StaleUpdateBuffer: alpha must be >= 0");
@@ -96,6 +102,17 @@ std::vector<StaleUpdate> StaleUpdateBuffer::take_due(std::size_t round) {
     keep.erase(keep.begin());
   }
   entries_ = std::move(keep);
+  return due;
+}
+
+DueUpdates StaleUpdateBuffer::take_due_discounted(std::size_t round) {
+  DueUpdates due;
+  for (StaleUpdate& update : take_due(round)) {
+    const double discount = weight(round - update.origin_round);
+    if (discount <= 0.0) continue;
+    due.updates.push_back(std::move(update));
+    due.weights.push_back(discount);
+  }
   return due;
 }
 

@@ -48,6 +48,18 @@ struct StaleUpdate {
 /// a small fixed overhead) — the quantity charged to the memory budget.
 std::size_t stale_update_bytes(const StaleUpdate& update);
 
+/// The entries due at one round with their staleness discounts, in
+/// take_due's canonical order.
+struct DueUpdates {
+  std::vector<StaleUpdate> updates;
+  std::vector<double> weights;  ///< parallel to updates, all > 0
+
+  bool empty() const { return updates.empty(); }
+  std::size_t size() const { return updates.size(); }
+  /// Keeps the `count` newest entries (the back), dropping the oldest.
+  void keep_newest(std::size_t count);
+};
+
 /// w = 1 / (1 + s)^alpha, with the s == 0 case pinned to exactly 1.0 so a
 /// zero-lateness "stale" update is indistinguishable from a fresh one.
 double staleness_weight(std::size_t staleness, double alpha);
@@ -68,6 +80,11 @@ class StaleUpdateBuffer {
   /// stays (oldest origin evicted first).  Call once per round, before
   /// aggregation, from the coordinating thread.
   std::vector<StaleUpdate> take_due(std::size_t round);
+
+  /// take_due with each entry's discount weight(round - origin_round),
+  /// skipping entries whose discount underflowed to zero (alpha -> inf
+  /// therefore reproduces the discard policy bitwise).
+  DueUpdates take_due_discounted(std::size_t round);
 
   std::size_t size() const;
   /// Entries lost to the capacity bound across the run.

@@ -96,12 +96,11 @@ TEST(WeightedAverage, ExactWeightsForTwoModels) {
   for (nn::Parameter* p : a->parameters()) p->value.fill(1.0f);
   for (nn::Parameter* p : b->parameters()) p->value.fill(3.0f);
 
-  const std::size_t sampled_arr[] = {0, 1};
-  nn::Module* members[] = {a.get(), b.get()};
-  weighted_average_into(*global, members, sampled_arr, fed);
-
   const double w0 = static_cast<double>(fed.client_shard(0).size());
   const double w1 = static_cast<double>(fed.client_shard(1).size());
+  const StateContribution members[] = {{a.get(), nullptr, w0}, {b.get(), nullptr, w1}};
+  weighted_state_average_into(*global, members);
+
   const float expected = static_cast<float>((w0 * 1.0 + w1 * 3.0) / (w0 + w1));
   for (nn::Parameter* p : global->parameters()) {
     ASSERT_NEAR(p->value[0], expected, 1e-5f);

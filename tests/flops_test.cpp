@@ -2,6 +2,8 @@
 // the analytic parameter count must equal the measured parameter count of a
 // real instance for every architecture x width x resolution combination.
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
@@ -16,6 +18,13 @@ struct SpecCase {
   double width;
   std::size_t channels;
 };
+
+// gtest prints a parameter without a printer as its raw bytes, which here
+// include the address of `arch`; CTest names each case by that printout, so
+// give the cases a name that does not change from run to run.
+void PrintTo(const SpecCase& p, std::ostream* os) {
+  *os << p.arch << "_" << p.image << "px_w" << p.width << "_c" << p.channels;
+}
 
 class CostMatchesZoo : public ::testing::TestWithParam<SpecCase> {};
 

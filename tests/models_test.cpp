@@ -2,6 +2,10 @@
 // check output shapes, parameter counts (full width against published
 // figures), width scaling, and forward/backward viability.
 
+#include <algorithm>
+#include <cstring>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
@@ -30,6 +34,13 @@ struct ArchCase {
   double width;
   std::size_t channels;
 };
+
+// gtest prints a parameter without a printer as its raw bytes, which here
+// include the address of `arch`; CTest names each case by that printout, so
+// give the cases a name that does not change from run to run.
+void PrintTo(const ArchCase& p, std::ostream* os) {
+  *os << p.arch << "_" << p.image << "px_w" << p.width << "_c" << p.channels;
+}
 
 class ArchBuilds : public ::testing::TestWithParam<ArchCase> {};
 
@@ -161,6 +172,52 @@ TEST(ModelZoo, Vgg11HandlesTinyImages) {
   auto model = build_model(spec_of("vgg11", 8, 0.125), rng);
   Tensor x = Tensor::normal(Shape::nchw(1, 3, 8, 8), rng);
   EXPECT_EQ(model->forward(x).shape(), Shape::matrix(1, 10));
+}
+
+// Server distillation runs each teacher once over the pool and gathers its
+// logits by permuted rows (fl/server_fusion.hpp).  That is exact only if, in
+// eval mode, a row's logits do not depend on which rows share its batch or
+// where in the batch it sits.
+TEST(ModelZoo, EvalLogitsDoNotDependOnBatchGroupingOrRowOrder) {
+  const ArchCase archs[] = {{"mlp", 16, 0.5, 3},       {"cnn2", 16, 0.5, 3},
+                            {"resnet20", 16, 0.25, 3}, {"resnet32", 8, 0.25, 3},
+                            {"resnet44", 8, 0.25, 3},  {"vgg11", 16, 0.25, 3}};
+  for (const ArchCase& p : archs) {
+    Rng rng(17);
+    auto model = build_model(spec_of(p.arch, p.image, p.width, p.channels), rng);
+    // Move the BatchNorm running statistics off their init first.
+    model->set_training(true);
+    (void)model->forward(Tensor::normal(Shape::nchw(8, p.channels, p.image, p.image), rng));
+    model->set_training(false);
+
+    constexpr std::size_t kRows = 32;
+    const Tensor x = Tensor::normal(Shape::nchw(kRows, p.channels, p.image, p.image), rng);
+    const Tensor reference = model->forward(x);
+    const std::size_t classes = reference.dim(1);
+    const std::size_t row_numel = x.numel() / kRows;
+    const std::vector<std::size_t> order = rng.permutation(kRows);
+
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, kRows}) {
+      std::size_t mismatches = 0;
+      for (std::size_t start = 0; start < kRows; start += batch) {
+        const std::size_t count = std::min(batch, kRows - start);
+        Tensor chunk(Shape::nchw(count, p.channels, p.image, p.image));
+        for (std::size_t i = 0; i < count; ++i) {
+          std::copy_n(x.data() + order[start + i] * row_numel, row_numel,
+                      chunk.data() + i * row_numel);
+        }
+        const Tensor logits = model->forward(chunk);
+        for (std::size_t i = 0; i < count; ++i) {
+          if (std::memcmp(logits.data() + i * classes,
+                          reference.data() + order[start + i] * classes,
+                          classes * sizeof(float)) != 0) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << p.arch << " at batch " << batch;
+    }
+  }
 }
 
 TEST(ModelZoo, SpecToStringIsInformative) {

@@ -313,7 +313,7 @@ double FedKemf::round(std::size_t round_index, std::span<const std::size_t> samp
   const DueUpdates stale = stale_buffer_ != nullptr
                               ? stale_buffer_->take_due_discounted(round_index)
                               : DueUpdates{};
-  last_stale_applied_ = stale.size();
+  last_stale_applied_ = 0;
   if (!survivors.empty() || !stale.empty()) {
     FusionMembers candidates;
     candidates.fresh_ids = std::move(survivors);
@@ -321,29 +321,24 @@ double FedKemf::round(std::size_t round_index, std::span<const std::size_t> samp
       candidates.fresh_nets.push_back(slots_.at(id).staged.get());
     }
     candidates.add_stale(stale);
-    if (options_.fuse_by_weight_average) {
-      obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
-      obs::TraceSpan span("fl.fuse");
-      weighted_state_average_into(*global_knowledge_,
-                                  shard_weighted_contributions(candidates, fed));
-    } else {
-      // Members are capped after screening here (FedAvg caps before).
-      const FusionOutcome outcome = fuse_by_distillation(
-          {.distill = {.ensemble = options_.ensemble,
-                       .temperature = options_.distill_temperature,
-                       .epochs = options_.distill_epochs,
-                       .batch_size = options_.distill_batch_size},
-           .sanitize = options_.sanitize,
-           .reputation = reputation_.get(),
-           .member_spec = options_.knowledge_spec,
-           .max_members = max_fusion_members_},
-          candidates, fed, *global_knowledge_, *server_optimizer_,
-          fed.root_rng().fork(0xD157111ULL + round_index), phases_);
-      last_rejected_ = outcome.rejected;
-      last_stale_applied_ = outcome.stale_applied;
-      last_fusion_degraded_ = outcome.degraded;
-      last_distill_loss_ = outcome.distill_loss;
-    }
+    // Members are capped after screening here (FedAvg caps before).  The
+    // weight-average mode is the same step with the distillation switched
+    // off: screening, the cap and the warm start still apply.
+    const FusionOutcome outcome = fuse_by_distillation(
+        {.distill = {.ensemble = options_.ensemble,
+                     .temperature = options_.distill_temperature,
+                     .epochs = options_.fuse_by_weight_average ? 0 : options_.distill_epochs,
+                     .batch_size = options_.distill_batch_size},
+         .sanitize = options_.sanitize,
+         .reputation = reputation_.get(),
+         .member_spec = options_.knowledge_spec,
+         .max_members = max_fusion_members_},
+        candidates, fed, *global_knowledge_, *server_optimizer_,
+        fed.root_rng().fork(0xD157111ULL + round_index), phases_);
+    last_rejected_ = outcome.rejected;
+    last_stale_applied_ = outcome.stale_applied;
+    last_fusion_degraded_ = outcome.degraded;
+    last_distill_loss_ = outcome.distill_loss;
   }
 
   double loss_total = 0.0;

@@ -17,8 +17,10 @@
 // minimizing KL(ensemble || theta_g) on the unlabeled server pool.  That step
 // is fuse_by_distillation (fl/server_fusion.hpp), the same routine FedDF
 // calls; ensemble_logits is declared there too.  The alternative
-// weight-average fusion mode the paper mentions is available via
-// FedKemfOptions::fuse_by_weight_average.
+// weight-average fusion mode the paper mentions
+// (FedKemfOptions::fuse_by_weight_average) is the same step with zero
+// distillation epochs: uploads are still sanitized, reputation-screened and
+// capped, and the global knowledge network keeps the warm start alone.
 
 #include <memory>
 #include <vector>

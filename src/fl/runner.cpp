@@ -3,13 +3,13 @@
 #include "fl/selection.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 
-#include "fl/checkpoint/format.hpp"
 #include "fl/checkpoint/run_state.hpp"
 #include "fl/defense/sanitize.hpp"  // state_finite
 #include "fl/stale_buffer.hpp"
@@ -82,15 +82,45 @@ obs::RoundTelemetry to_telemetry(const RoundRecord& record, bool evaluated,
 // ---- Graceful shutdown ----
 
 // Everything the handler touches must be async-signal-safe: one flag write.
-volatile std::sig_atomic_t g_shutdown_flag = 0;
+// A lock-free atomic is, and unlike a volatile sig_atomic_t it may also be
+// set on one thread and polled on others (an in-process server and workers).
+std::atomic<int> g_shutdown_flag{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 extern "C" void handle_shutdown_signal(int) { g_shutdown_flag = 1; }
 
-/// Shared round loop of run_federated and resume_run.  `state` carries the
-/// starting cursor and accumulated history (zeroed for a fresh run); the
-/// algorithm must already be set up (and, on resume, load_state'd).
+void load_algorithm_state(Algorithm& algorithm, const ckpt::Section& section) {
+  core::ByteReader reader(section.bytes);
+  algorithm.load_state(reader);
+  if (!reader.exhausted()) {
+    throw std::runtime_error(
+        "resume: trailing bytes in the algorithm section (configuration mismatch)");
+  }
+}
+
+/// Shared round loop of run_federated and resume_from.  `state` carries the
+/// starting cursor and accumulated history (zeroed for a fresh run) and
+/// `saved` the checkpoint's algorithm section (null for a fresh run).
 RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOptions& options,
-                   RunnerState state, bool resumed) {
+                   MembershipSource* membership, RunnerState state = {},
+                   const ckpt::Section* saved = nullptr) {
+  if (options.rounds == 0) throw std::invalid_argument("run: zero rounds");
+  if (options.staleness && !options.sim) {
+    throw std::invalid_argument(
+        "run: options.staleness requires options.sim (stragglers only exist "
+        "under a simulated round deadline)");
+  }
+  if (membership && options.sim && options.sim->churn.dynamic()) {
+    throw std::invalid_argument("run: a membership source replaces simulated churn");
+  }
+  const bool resumed = saved != nullptr;
+  federation.meter().reset();
+  algorithm.setup(federation);
+  // In process the algorithm state is restored before the run's memory
+  // budget exists.  A membership source shares that budget with its
+  // transport, so there the state is restored after it is attached, and
+  // the client state load_state rebuilds is charged to it.
+  if (saved && !membership) load_algorithm_state(algorithm, *saved);
   std::unique_ptr<ClientSelector> selector = make_selector(options.selector);
   utils::ThreadPool pool(options.num_threads);
   utils::Stopwatch run_clock;
@@ -111,15 +141,11 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
   // the churn stream entirely, keeping legacy runs bitwise identical.
   std::unique_ptr<StaleUpdateBuffer> stale_buffer;
   if (options.staleness) {
-    if (!simulator) {
-      throw std::invalid_argument(
-          "run: options.staleness requires options.sim (stragglers only exist "
-          "under a simulated round deadline)");
-    }
     stale_buffer = std::make_unique<StaleUpdateBuffer>(*options.staleness);
     algorithm.set_stale_buffer(stale_buffer.get());
   }
   const bool churn_active = simulator && options.sim->churn.dynamic();
+  const bool membership_tracked = churn_active || membership != nullptr;
   std::vector<std::size_t> departed_fifo;  ///< eviction order, oldest first
 
   // Overload policy: a shared memory budget, a spill store for departed
@@ -139,6 +165,30 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
     algorithm.set_max_fusion_members(options.resources->max_fusion_members);
   }
 
+  // Detach what this run installed, and stop the membership source while the
+  // budget it charges still exists: on return and on a throw alike.
+  const auto detach = [&] {
+    if (membership && membership->stop) membership->stop();
+    if (stale_buffer) {
+      stale_buffer->set_memory_budget(nullptr);
+      algorithm.set_stale_buffer(nullptr);
+    }
+    if (options.resources) {
+      algorithm.set_memory_budget(nullptr);
+      algorithm.set_spill_store(nullptr);
+      algorithm.set_max_fusion_members(0);
+    }
+    if (simulator) {
+      algorithm.set_simulator(nullptr);
+      simulator->detach();
+    }
+  };
+  struct Teardown {
+    std::function<void()> run;
+    ~Teardown() { run(); }
+  } teardown{detach};
+
+  if (saved && membership) load_algorithm_state(algorithm, *saved);
   if (state.has_elastic) {
     if (churn_active && !state.churn_state.empty()) {
       core::ByteReader churn_reader(state.churn_state);
@@ -232,18 +282,42 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
     }
     checkpoints->write(checkpoint);
     metrics.checkpoints.add(1);
+    if (membership && membership->on_checkpoint) membership->on_checkpoint(next_round);
   };
 
+  if (membership && membership->start) membership->start(memory_budget.get());
   for (std::size_t round = static_cast<std::size_t>(state.next_round);
        round < options.rounds; ++round) {
     obs::TraceSpan round_span("fl.round");
+    // The source may block for clients: that wait is not the round's cost.
+    MembershipSource::Round external;
+    if (membership) external = membership->begin_round(round);
     utils::Stopwatch round_clock;
     sim::CrashInjector::instance().begin_round(round);
 
-    sim::ChurnEvents churn_events;
+    std::size_t joined = 0;
+    std::size_t left = 0;
+    std::vector<std::size_t> eligible;
     std::vector<std::size_t> sampled;
-    if (churn_active) {
-      churn_events = simulator->churn().begin_round(round);
+    if (membership) {
+      // Remote membership takes effect at once, in arrival order.
+      for (const MembershipSource::Change& change : external.changes) {
+        if (change.joined) {
+          algorithm.on_client_joined(change.client_id);
+          ++joined;
+        } else {
+          algorithm.on_client_evicted(change.client_id);
+          ++left;
+        }
+      }
+      if (!external.late.empty() && !stale_buffer) {
+        throw std::logic_error("run: late uploads need options.staleness");
+      }
+      for (StaleUpdate& update : external.late) stale_buffer->push(std::move(update));
+      eligible = std::move(external.eligible);
+    } else if (churn_active) {
+      // Simulated leavers keep their state until the departed FIFO overflows.
+      const sim::ChurnEvents churn_events = simulator->churn().begin_round(round);
       for (const std::size_t id : churn_events.joined) {
         departed_fifo.erase(std::remove(departed_fifo.begin(), departed_fifo.end(), id),
                             departed_fifo.end());
@@ -254,7 +328,11 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
         algorithm.on_client_evicted(departed_fifo.front());
         departed_fifo.erase(departed_fifo.begin());
       }
-      const std::vector<std::size_t> eligible = simulator->churn().present_clients();
+      joined = churn_events.joined.size();
+      left = churn_events.left.size();
+      eligible = simulator->churn().present_clients();
+    }
+    if (membership_tracked) {
       const std::size_t count = sampled_client_count(eligible.size(), options.sample_ratio);
       sampled = selector->select(federation, round, count, eligible);
     } else {
@@ -310,10 +388,10 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
     }
     record.rejected_updates = rejected;
     record.sim_tracked = simulator != nullptr;
-    record.churn_tracked = churn_active;
+    record.churn_tracked = membership_tracked;
     record.staleness_tracked = stale_buffer != nullptr;
-    record.clients_joined = churn_events.joined.size();
-    record.clients_left = churn_events.left.size();
+    record.clients_joined = joined;
+    record.clients_left = left;
     record.stale_applied = stale_buffer ? algorithm.last_stale_applied() : 0;
     result.total_joined += record.clients_joined;
     result.total_left += record.clients_left;
@@ -394,7 +472,7 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
         }
         if (record.rejected_updates > 0) line << " rejected=" << record.rejected_updates;
         if (record.rolled_back) line << " rolled_back";
-        if (churn_active) {
+        if (membership_tracked) {
           line << " joined=" << record.clients_joined << " left=" << record.clients_left;
         }
         if (stale_buffer) line << " stale_applied=" << record.stale_applied;
@@ -432,19 +510,6 @@ RunResult run_loop(Federation& federation, Algorithm& algorithm, const RunOption
     telemetry->record_run(result.algorithm, result.rounds_completed, result.wall_seconds,
                           result.final_accuracy, result.total_bytes);
   }
-  if (stale_buffer) {
-    stale_buffer->set_memory_budget(nullptr);
-    algorithm.set_stale_buffer(nullptr);
-  }
-  if (options.resources) {
-    algorithm.set_memory_budget(nullptr);
-    algorithm.set_spill_store(nullptr);
-    algorithm.set_max_fusion_members(0);
-  }
-  if (simulator) {
-    algorithm.set_simulator(nullptr);
-    simulator->detach();
-  }
   return result;
 }
 
@@ -481,12 +546,9 @@ std::vector<std::size_t> sample_clients(const Federation& federation, std::size_
   return rng.sample_without_replacement(population, count);
 }
 
-RunResult run_federated(Federation& federation, Algorithm& algorithm,
-                        const RunOptions& options) {
-  if (options.rounds == 0) throw std::invalid_argument("run_federated: zero rounds");
-  federation.meter().reset();
-  algorithm.setup(federation);
-  return run_loop(federation, algorithm, options, RunnerState{}, /*resumed=*/false);
+RunResult run_federated(Federation& federation, Algorithm& algorithm, const RunOptions& options,
+                        MembershipSource* membership) {
+  return run_loop(federation, algorithm, options, membership);
 }
 
 bool can_resume(const RunOptions& options) {
@@ -496,38 +558,23 @@ bool can_resume(const RunOptions& options) {
       .has_checkpoint();
 }
 
-RunResult resume_run(Federation& federation, Algorithm& algorithm,
-                     const RunOptions& options) {
-  if (options.rounds == 0) throw std::invalid_argument("resume_run: zero rounds");
-  if (options.checkpoint_dir.empty()) {
-    throw std::invalid_argument("resume_run: options.checkpoint_dir is empty");
-  }
-  ckpt::CheckpointManager manager(options.checkpoint_dir,
-                                  std::max<std::size_t>(1, options.checkpoint_retain));
-  std::optional<ckpt::Checkpoint> checkpoint = manager.load_latest_valid();
-  if (!checkpoint) {
-    throw std::runtime_error("resume_run: no valid checkpoint in '" +
-                             options.checkpoint_dir + "'");
-  }
-  if (checkpoint->algorithm != algorithm.name()) {
-    throw std::runtime_error("resume_run: checkpoint was written by '" +
-                             checkpoint->algorithm + "', not '" + algorithm.name() + "'");
-  }
-  const ckpt::Section* runner_section = checkpoint->find("runner");
-  const ckpt::Section* algorithm_section = checkpoint->find("algorithm");
-  if (runner_section == nullptr || algorithm_section == nullptr) {
-    throw std::runtime_error("resume_run: checkpoint is missing a required section");
-  }
+std::optional<ckpt::Checkpoint> latest_checkpoint(const RunOptions& options) {
+  if (options.checkpoint_dir.empty()) return std::nullopt;
+  return ckpt::CheckpointManager(options.checkpoint_dir,
+                                 std::max<std::size_t>(1, options.checkpoint_retain))
+      .load_latest_valid();
+}
 
-  federation.meter().reset();
-  algorithm.setup(federation);
-  {
-    core::ByteReader reader(algorithm_section->bytes);
-    algorithm.load_state(reader);
-    if (!reader.exhausted()) {
-      throw std::runtime_error(
-          "resume_run: trailing bytes in the algorithm section (configuration mismatch)");
-    }
+RunResult resume_from(Federation& federation, Algorithm& algorithm, const RunOptions& options,
+                      const ckpt::Checkpoint& checkpoint, MembershipSource* membership) {
+  if (checkpoint.algorithm != algorithm.name()) {
+    throw std::runtime_error("resume: checkpoint was written by '" + checkpoint.algorithm +
+                             "', not '" + algorithm.name() + "'");
+  }
+  const ckpt::Section* runner_section = checkpoint.find("runner");
+  const ckpt::Section* algorithm_section = checkpoint.find("algorithm");
+  if (runner_section == nullptr || algorithm_section == nullptr) {
+    throw std::runtime_error("resume: checkpoint is missing a required section");
   }
   core::ByteReader reader(runner_section->bytes);
   RunnerState state = decode_run_state(reader);
@@ -535,7 +582,21 @@ RunResult resume_run(Federation& federation, Algorithm& algorithm,
   utils::log_info("runner") << algorithm.name() << " resuming from round "
                             << state.next_round << " (checkpoint dir "
                             << options.checkpoint_dir << ")";
-  return run_loop(federation, algorithm, options, std::move(state), /*resumed=*/true);
+  return run_loop(federation, algorithm, options, membership, std::move(state),
+                  algorithm_section);
+}
+
+RunResult resume_run(Federation& federation, Algorithm& algorithm,
+                     const RunOptions& options) {
+  if (options.checkpoint_dir.empty()) {
+    throw std::invalid_argument("resume_run: options.checkpoint_dir is empty");
+  }
+  const std::optional<ckpt::Checkpoint> checkpoint = latest_checkpoint(options);
+  if (!checkpoint) {
+    throw std::runtime_error("resume_run: no valid checkpoint in '" +
+                             options.checkpoint_dir + "'");
+  }
+  return resume_from(federation, algorithm, options, *checkpoint);
 }
 
 }  // namespace fedkemf::fl

@@ -129,6 +129,8 @@ struct FusionOutcome {
 ///  4. distill_from_ensemble.  Under avg-logits with reputation or stale
 ///     members, teachers are weighted by reputation (times the staleness
 ///     discount for stale ones); `rng` is the caller's per-round fork.
+/// At distill.epochs == 0 (FedKEMF's weight-average mode) step 4 only puts
+/// the student in training mode; the warm start is the fused model.
 /// Leaves `student` untouched when every candidate is screened out.  Phases
 /// are charged to kSanitize, kFuse and kDistill.
 FusionOutcome fuse_by_distillation(const ServerFusionOptions& options,

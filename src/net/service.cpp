@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,7 +10,6 @@
 
 #include "comm/channel.hpp"
 #include "fl/checkpoint/format.hpp"
-#include "fl/checkpoint/run_state.hpp"
 #include "fl/feddf.hpp"
 #include "fl/fedkemf.hpp"
 #include "fl/fedmd.hpp"
@@ -19,15 +17,12 @@
 #include "fl/fedprox.hpp"
 #include "fl/runner.hpp"
 #include "fl/scaffold.hpp"
-#include "fl/selection.hpp"
 #include "net/session.hpp"
 #include "net/transport.hpp"
 #include "net/wal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/process.hpp"
 #include "sim/simulator.hpp"
 #include "utils/logging.hpp"
-#include "utils/stopwatch.hpp"
 
 namespace fedkemf::net {
 
@@ -215,22 +210,13 @@ fl::RunResult run_mirror_server(const FedSpec& spec, const MirrorServerOptions& 
         std::to_string(options.hello_wait_seconds) + "s");
   }
 
-  fl::Federation federation(spec.federation);
-  std::unique_ptr<fl::Algorithm> algorithm = make_algorithm(spec);
+  // The transport outlives the federation whose channel points at it.
   ServerTransport transport(server, {.strict = true,
                                      .await_timeout_seconds = options.await_timeout_seconds});
+  fl::Federation federation(spec.federation);
   federation.channel().set_transport(&transport);
-  fl::RunResult result;
-  try {
-    result = fl::run_federated(federation, *algorithm, run_options(spec));
-  } catch (...) {
-    federation.channel().set_transport(nullptr);
-    server.stop();
-    throw;
-  }
-  federation.channel().set_transport(nullptr);
-  server.stop();
-  return result;
+  std::unique_ptr<fl::Algorithm> algorithm = make_algorithm(spec);
+  return fl::run_federated(federation, *algorithm, run_options(spec));
 }
 
 fl::RunResult run_mirror_client(const FedSpec& spec, const MirrorClientOptions& options) {
@@ -252,22 +238,13 @@ fl::RunResult run_mirror_client(const FedSpec& spec, const MirrorClientOptions& 
     throw std::runtime_error("mirror client: server rejected HELLO: " + reply.message);
   }
 
-  fl::Federation federation(spec.federation);
-  std::unique_ptr<fl::Algorithm> algorithm = make_algorithm(spec);
   ClientTransport transport(session, options.owned,
                             {.strict = true,
                              .await_timeout_seconds = options.await_timeout_seconds});
+  fl::Federation federation(spec.federation);
   federation.channel().set_transport(&transport);
-  fl::RunResult result;
-  try {
-    result = fl::run_federated(federation, *algorithm, run_options(spec));
-  } catch (...) {
-    federation.channel().set_transport(nullptr);
-    throw;
-  }
-  federation.channel().set_transport(nullptr);
-  session.close();
-  return result;
+  std::unique_ptr<fl::Algorithm> algorithm = make_algorithm(spec);
+  return fl::run_federated(federation, *algorithm, run_options(spec));
 }
 
 // ---- Elastic mode ----
@@ -288,73 +265,44 @@ fl::RunResult run_elastic_server(const FedSpec& spec, const ElasticServerOptions
   if (options.write_queue_cap_bytes > 0) {
     server.set_write_queue_cap(options.write_queue_cap_bytes);
   }
-  // Overload policy must be installed before start(): the loop thread reads
-  // the limits and charges parked uploads against the budget.
-  std::optional<core::MemoryBudget> budget;
-  std::optional<fl::SpillStore> spill;
-  if (options.aggregation) {
-    budget.emplace(options.aggregation->memory_budget_bytes,
-                   options.aggregation->high_water_fraction);
-    server.set_memory_budget(&*budget);
-    if (!options.aggregation->spill_dir.empty()) {
-      spill.emplace(options.aggregation->spill_dir);
-    }
-  }
   server.set_resource_limits(options.resources);
 
-  // ---- Durability: load the newest valid checkpoint and replay the WAL
-  // suffix *before* the loop thread starts — recovered uploads must be
-  // parked (and checkpoint-covered keys remembered) before any reconnecting
-  // client can redeliver them. ----
-  const bool durable = !options.durability.wal_dir.empty();
-  std::optional<ckpt::CheckpointManager> checkpoints;
-  std::optional<ckpt::Checkpoint> resume_from;
+  // A benign simulator (no faults, no deadline) so comm::TransferFailed from
+  // an exhausted upload retry is *recorded* per client instead of aborting
+  // the round — the catch path every algorithm already implements.
+  fl::RunOptions run = run_options(spec);
+  run.sim = sim::SimOptions{};
+  run.staleness = spec.staleness;
+  run.resources = options.aggregation;
+  run.checkpoint_dir = options.durability.wal_dir;
+  run.checkpoint_every = options.durability.checkpoint_every;
+  run.checkpoint_retain = options.durability.checkpoint_retain;
+
+  // ---- Durability: load the newest valid checkpoint and plan the WAL
+  // replay before the loop thread starts — recovered uploads must be parked
+  // (and checkpoint-covered keys remembered) before any reconnecting client
+  // can redeliver them. ----
+  const std::optional<ckpt::Checkpoint> checkpoint = fl::latest_checkpoint(run);
   std::optional<WriteAheadLog> wal;
-  if (durable) {
-    checkpoints.emplace(options.durability.wal_dir,
-                        std::max<std::size_t>(1, options.durability.checkpoint_retain));
-    resume_from = checkpoints->load_latest_valid();
-    const std::string wal_path =
-        (std::filesystem::path(options.durability.wal_dir) / "wal.log").string();
+  std::vector<Frame> recovered;
+  if (!run.checkpoint_dir.empty()) {
+    const std::string wal_path = (std::filesystem::path(run.checkpoint_dir) / "wal.log").string();
     const WalScan scan = scan_wal(wal_path);
-    const std::uint64_t horizon = resume_from ? resume_from->next_round : 0;
+    const std::uint64_t horizon = checkpoint ? checkpoint->next_round : 0;
     WalRecovery plan = plan_wal_recovery(scan.records, horizon);
     for (const std::string& key : plan.applied_keys) server.mark_upload_applied(key);
-    const std::size_t recovered = plan.uploads.size();
-    for (Frame& frame : plan.uploads) server.recover_upload(std::move(frame));
+    recovered = std::move(plan.uploads);
     obs::MetricsRegistry::global().counter("wal.replayed").add(plan.replayed);
-    if (resume_from || !scan.records.empty()) {
+    if (checkpoint || !scan.records.empty()) {
       utils::log_info("net") << "durable server: resuming at round " << horizon
                              << ", replayed " << plan.replayed << " WAL record(s), re-parked "
-                             << recovered << " upload(s)"
+                             << recovered.size() << " upload(s)"
                              << (scan.torn ? " (torn tail truncated)" : "");
     }
     wal.emplace(wal_path);  // truncates the torn tail, then appends
     server.set_wal(&*wal);
   }
-  server.start();
 
-  fl::Federation federation(spec.federation);
-  std::unique_ptr<fl::Algorithm> algorithm = make_algorithm(spec);
-  federation.meter().reset();
-  algorithm->setup(federation);
-
-  // A benign simulator (no faults, no deadline) so comm::TransferFailed from
-  // an exhausted upload retry is *recorded* per client instead of aborting
-  // the round — the catch path every algorithm already implements.
-  sim::SimOptions benign;
-  sim::Simulator simulator(benign, federation.num_clients(),
-                           federation.root_rng().fork(0x51D07A1EULL));
-  simulator.attach(federation.channel());
-  algorithm->set_simulator(&simulator);
-  fl::StaleUpdateBuffer stale_buffer(spec.staleness);
-  algorithm->set_stale_buffer(&stale_buffer);
-  if (budget) {
-    algorithm->set_memory_budget(&*budget);
-    stale_buffer.set_memory_budget(&*budget);
-    if (spill) algorithm->set_spill_store(&*spill);
-    algorithm->set_max_fusion_members(options.aggregation->max_fusion_members);
-  }
   ServerTransport transport(server, {.strict = false,
                                      .await_timeout_seconds = options.upload_timeout_seconds});
   // Optional deterministic fault injection between the channel and the wire —
@@ -362,253 +310,94 @@ fl::RunResult run_elastic_server(const FedSpec& spec, const ElasticServerOptions
   // lossy network would.
   std::optional<FaultyTransport> faulty;
   if (options.fault.enabled()) faulty.emplace(transport, options.fault);
+  fl::Federation federation(spec.federation);
   federation.channel().set_transport(faulty ? static_cast<comm::Transport*>(&*faulty)
                                             : &transport);
+  std::unique_ptr<fl::Algorithm> algorithm = make_algorithm(spec);
 
-  const auto cleanup = [&] {
-    federation.channel().set_transport(nullptr);
-    if (budget) {
-      server.stop();  // releases parked-upload charges before the budget dies
-      stale_buffer.set_memory_budget(nullptr);
-      algorithm->set_memory_budget(nullptr);
-      algorithm->set_spill_store(nullptr);
-      algorithm->set_max_fusion_members(0);
-    }
-    algorithm->set_stale_buffer(nullptr);
-    algorithm->set_simulator(nullptr);
-    simulator.detach();
-    server.stop();
+  // The runner's round loop does the rest.  This is its view of the
+  // federation: the cohort is whoever is connected when a round starts,
+  // connects and disconnects are the joins and leaves, late UPLOADs feed the
+  // stale buffer, and the WAL records each round start, membership change
+  // and checkpoint horizon.
+  // Round starts and checkpoint marks are synced at once; membership records
+  // ride along with the next sync.
+  const auto journal = [&wal](WalRecordType type, std::size_t round, std::uint32_t client = 0,
+                              std::uint8_t flag = 0) {
+    if (!wal) return;
+    WalRecord record;
+    record.type = type;
+    record.round = static_cast<std::uint32_t>(round);
+    record.client = client;
+    record.flag = flag;
+    wal->append(record);
+    if (type != WalRecordType::kMembership) wal->sync();
   };
-
-  // ---- Restore: the checkpoint carries the algorithm state, the stale
-  // buffer, and the accumulated result/traffic/wall-clock; everything else a
-  // round consumes is a pure function of (seed, round). ----
-  fl::RunResult result;
-  std::size_t start_round = 0;
-  std::uint64_t bytes_baseline = 0;
-  double wall_seconds_before = 0.0;
-  if (resume_from) {
-    try {
-      if (resume_from->algorithm != algorithm->name()) {
-        throw std::runtime_error("checkpoint was written by '" + resume_from->algorithm +
-                                 "', not '" + algorithm->name() + "'");
-      }
-      const ckpt::Section* runner_section = resume_from->find("runner");
-      const ckpt::Section* algorithm_section = resume_from->find("algorithm");
-      if (runner_section == nullptr || algorithm_section == nullptr) {
-        throw std::runtime_error("checkpoint is missing a required section");
-      }
-      {
-        core::ByteReader reader(algorithm_section->bytes);
-        algorithm->load_state(reader);
-        if (!reader.exhausted()) {
-          throw std::runtime_error(
-              "trailing bytes in the algorithm section (configuration mismatch)");
-        }
-      }
-      core::ByteReader reader(runner_section->bytes);
-      fl::RunnerState state = fl::decode_run_state(reader);
-      if (!state.stale_buffer_state.empty()) {
-        core::ByteReader buffer_reader(state.stale_buffer_state);
-        stale_buffer.load_state(buffer_reader);
-      }
-      start_round = static_cast<std::size_t>(state.next_round);
-      bytes_baseline = state.bytes_baseline;
-      wall_seconds_before = state.wall_seconds_before;
-      result = state.result;
-      result.interrupted = false;  // this process is continuing the run
-    } catch (...) {
-      cleanup();
-      throw;
-    }
-  }
-  result.algorithm = algorithm->name();
-  utils::Stopwatch run_clock;
-  std::unique_ptr<fl::ClientSelector> selector = fl::make_selector(spec.selector);
-  utils::ThreadPool pool(spec.num_threads);
   core::Rng scratch_rng(0);
-  const std::unique_ptr<nn::Module> scratch =
-      models::build_model(spec.client_model, scratch_rng);
-  std::size_t bytes_before_round = static_cast<std::size_t>(bytes_baseline);
-
-  // Full checkpoint at a round boundary: Algorithm::save_state plus the
-  // runner's elastic tail (the same vocabulary the in-process runner
-  // persists), then a WAL mark + fsync so replay knows the horizon.
-  const auto write_server_checkpoint = [&](std::size_t next_round) {
-    ckpt::Checkpoint checkpoint;
-    checkpoint.algorithm = algorithm->name();
-    checkpoint.next_round = next_round;
-    {
-      fl::RunnerState snapshot;
-      snapshot.next_round = next_round;
-      snapshot.result = result;
-      snapshot.result.total_bytes = bytes_baseline + federation.meter().total_bytes();
-      snapshot.result.wall_seconds = wall_seconds_before + run_clock.seconds();
-      snapshot.bytes_baseline = snapshot.result.total_bytes;
-      snapshot.wall_seconds_before = snapshot.result.wall_seconds;
-      snapshot.has_elastic = true;
-      core::ByteWriter buffer_writer;
-      stale_buffer.save_state(buffer_writer);
-      snapshot.stale_buffer_state = buffer_writer.take();
-      core::ByteWriter writer;
-      fl::encode_run_state(writer, snapshot);
-      checkpoint.section("runner") = writer.take();
-    }
-    {
-      core::ByteWriter writer;
-      algorithm->save_state(writer);
-      checkpoint.section("algorithm") = writer.take();
-    }
-    checkpoints->write(checkpoint);
-    WalRecord mark;
-    mark.type = WalRecordType::kCheckpointMark;
-    mark.round = static_cast<std::uint32_t>(next_round);
-    wal->append(mark);
-    wal->sync();
+  const std::unique_ptr<nn::Module> scratch = models::build_model(spec.client_model, scratch_rng);
+  fl::MembershipSource membership;
+  // The loop thread charges parked uploads against the budget, so it is
+  // installed, and the WAL's re-parked uploads charged, before start().
+  membership.start = [&](core::MemoryBudget* budget) {
+    server.set_memory_budget(budget);
+    for (Frame& frame : recovered) server.recover_upload(std::move(frame));
+    server.start();
   };
-
-  try {
-    for (std::size_t round = start_round; round < spec.rounds; ++round) {
-      if (wal) {
-        WalRecord start;
-        start.type = WalRecordType::kRoundStart;
-        start.round = static_cast<std::uint32_t>(round);
-        wal->append(start);
-        wal->sync();
-      }
-      if (!server.wait_for_clients(options.min_clients,
-                                   Deadline::after(options.join_wait_seconds))) {
-        throw std::runtime_error(
-            "elastic server: fewer than " + std::to_string(options.min_clients) +
-            " clients connected for " + std::to_string(options.join_wait_seconds) +
-            "s before round " + std::to_string(round));
-      }
-
-      // Disconnect/reconnect -> the algorithm's churn lifecycle.
-      std::size_t joined = 0;
-      std::size_t left = 0;
-      for (const MembershipEvent& event : server.take_membership_events()) {
-        const bool is_join = event.kind == MembershipEvent::Kind::kJoined;
-        if (is_join) {
-          algorithm->on_client_joined(event.client_id);
-          ++joined;
-        } else {
-          algorithm->on_client_evicted(event.client_id);
-          ++left;
-        }
-        if (wal) {
-          WalRecord member;
-          member.type = WalRecordType::kMembership;
-          member.round = static_cast<std::uint32_t>(round);
-          member.client = event.client_id;
-          member.flag = static_cast<std::uint8_t>((is_join ? 1u : 0u) |
-                                                  (event.rejoin ? 2u : 0u));
-          wal->append(member);
-        }
-      }
-
-      // Late uploads from earlier rounds feed the stale buffer with the
-      // scalars fl::FedAvg::fill_stale_extras would have recorded in-process.
-      for (Frame& frame : server.take_stale_uploads(static_cast<std::uint32_t>(round))) {
-        try {
-          screen_wire_body(frame.body);
-          comm::deserialize_model(frame.body, *scratch);
-        } catch (const std::exception& e) {
-          utils::log_warn("net") << "dropping undecodable late upload from client "
-                                 << frame.client << ": " << e.what();
-          continue;
-        }
-        federation.channel().transfer_raw(frame.body.size(), frame.round, frame.client,
-                                          comm::Direction::kUplink, "stale_" + frame.name);
-        fl::StaleUpdate update;
-        update.client_id = frame.client;
-        update.origin_round = frame.round;
-        update.due_round = round;
-        update.state = nn::snapshot_state(*scratch);
-        update.scalars.assign(frame.scalars.begin(),
-                              frame.scalars.begin() +
-                                  static_cast<std::ptrdiff_t>(
-                                      std::min<std::size_t>(2, frame.scalars.size())));
-        stale_buffer.push(std::move(update));
-      }
-
-      // Cohort: whoever is connected right now (ids beyond the configured
-      // fleet were rejected at HELLO).
-      const std::vector<std::size_t> eligible = server.connected_clients();
-      const std::size_t count =
-          fl::sampled_client_count(eligible.size(), spec.sample_ratio);
-      const std::vector<std::size_t> sampled =
-          selector->select(federation, round, count, eligible);
-
-      simulator.begin_round(round, sampled.size());
-      algorithm->phase_accumulator().reset();
-      utils::Stopwatch round_clock;
-      const double train_loss = algorithm->round(round, sampled, pool);
-      result.rounds_completed = round + 1;
-
-      fl::RoundRecord record;
-      record.round = round;
-      record.train_loss = train_loss;
-      record.round_seconds = round_clock.seconds();
-      const std::size_t bytes_now =
-          static_cast<std::size_t>(bytes_baseline) + federation.meter().total_bytes();
-      record.cumulative_bytes = bytes_now;
-      record.round_bytes = bytes_now - bytes_before_round;
-      bytes_before_round = bytes_now;
-      record.clients_sampled = sampled.size();
-      const sim::RoundReport report = simulator.round_report();
-      record.clients_completed = report.completed;
-      record.clients_dropped = report.dropped();
-      record.sim_tracked = true;
-      record.churn_tracked = true;
-      record.staleness_tracked = true;
-      record.clients_joined = joined;
-      record.clients_left = left;
-      record.stale_applied = algorithm->last_stale_applied();
-      record.resources_tracked = options.aggregation.has_value();
-      record.fusion_degraded = algorithm->last_fusion_degraded();
-      record.budget_used_bytes = budget ? budget->used_bytes() : 0;
-      record.peak_rss_bytes = obs::process_peak_rss_bytes();
-      result.total_joined += joined;
-      result.total_left += left;
-      result.total_stale_applied += record.stale_applied;
-      result.total_dropped += report.dropped();
-      if (record.fusion_degraded) ++result.total_degraded_rounds;
-      result.peak_rss_bytes = std::max(result.peak_rss_bytes, record.peak_rss_bytes);
-
-      const std::size_t every = std::max<std::size_t>(1, spec.eval_every);
-      const bool last_round = round + 1 == spec.rounds;
-      if (last_round || (round + 1) % every == 0) {
-        const fl::EvalResult eval =
-            fl::evaluate(algorithm->global_model(), federation.test_set());
-        record.accuracy = eval.accuracy;
-        record.client_accuracy = std::nan("");
-        result.best_accuracy = std::max(result.best_accuracy, eval.accuracy);
-        result.final_accuracy = eval.accuracy;
-        result.history.push_back(record);
-      }
-
-      const std::size_t checkpoint_every =
-          std::max<std::size_t>(1, options.durability.checkpoint_every);
-      if (durable && (last_round || (round + 1) % checkpoint_every == 0 ||
-                      fl::shutdown_requested())) {
-        write_server_checkpoint(round + 1);
-      }
-
-      if (fl::shutdown_requested()) {
-        result.interrupted = true;
-        break;
-      }
+  membership.begin_round = [&](std::size_t round) {
+    journal(WalRecordType::kRoundStart, round);
+    if (!server.wait_for_clients(options.min_clients,
+                                 Deadline::after(options.join_wait_seconds))) {
+      throw std::runtime_error(
+          "elastic server: fewer than " + std::to_string(options.min_clients) +
+          " clients connected for " + std::to_string(options.join_wait_seconds) +
+          "s before round " + std::to_string(round));
     }
-  } catch (...) {
-    cleanup();
-    throw;
-  }
-  result.total_bytes =
-      static_cast<std::size_t>(bytes_baseline) + federation.meter().total_bytes();
-  result.wall_seconds = wall_seconds_before + run_clock.seconds();
-  cleanup();
-  return result;
+
+    fl::MembershipSource::Round next;
+    for (const MembershipEvent& event : server.take_membership_events()) {
+      const bool is_join = event.kind == MembershipEvent::Kind::kJoined;
+      next.changes.push_back({.client_id = event.client_id, .joined = is_join});
+      journal(WalRecordType::kMembership, round, event.client_id,
+              static_cast<std::uint8_t>((is_join ? 1u : 0u) | (event.rejoin ? 2u : 0u)));
+    }
+
+    // Late uploads from earlier rounds feed the stale buffer with the
+    // scalars fl::FedAvg::fill_stale_extras would have recorded in-process.
+    for (Frame& frame : server.take_stale_uploads(static_cast<std::uint32_t>(round))) {
+      try {
+        screen_wire_body(frame.body);
+        comm::deserialize_model(frame.body, *scratch);
+      } catch (const std::exception& e) {
+        utils::log_warn("net") << "dropping undecodable late upload from client "
+                               << frame.client << ": " << e.what();
+        continue;
+      }
+      federation.channel().transfer_raw(frame.body.size(), frame.round, frame.client,
+                                        comm::Direction::kUplink, "stale_" + frame.name);
+      fl::StaleUpdate update;
+      update.client_id = frame.client;
+      update.origin_round = frame.round;
+      update.due_round = round;
+      update.state = nn::snapshot_state(*scratch);
+      update.scalars.assign(frame.scalars.begin(),
+                            frame.scalars.begin() +
+                                static_cast<std::ptrdiff_t>(
+                                    std::min<std::size_t>(2, frame.scalars.size())));
+      next.late.push_back(std::move(update));
+    }
+
+    // Ids beyond the configured fleet were rejected at HELLO.
+    next.eligible = server.connected_clients();
+    return next;
+  };
+  // The mark tells WAL replay which consumptions the checkpoint covers.
+  membership.on_checkpoint = [&](std::size_t next_round) {
+    journal(WalRecordType::kCheckpointMark, next_round);
+  };
+  // Hands parked-upload charges back while the run's budget still lives.
+  membership.stop = [&] { server.stop(); };
+  return checkpoint ? fl::resume_from(federation, *algorithm, run, *checkpoint, &membership)
+                    : fl::run_federated(federation, *algorithm, run, &membership);
 }
 
 namespace {

@@ -23,7 +23,11 @@
 //            FedBuff discount.  Restricted to the weight-space family whose
 //            client half is a plain supervised pass (fedavg / fedprox /
 //            fednova); kill-and-restart a client mid-run and the run
-//            completes through the churn + staleness path.
+//            completes through the churn + staleness path.  The server runs
+//            the runner's round loop (fl::run_federated / fl::resume_from
+//            with a fl::MembershipSource over its connections), so it has the
+//            in-process run's fl.round and phase trace spans, fl.* counters
+//            and checkpoint writer.
 //
 // Both sides of a run must agree on the full configuration; HELLO carries an
 // FNV-1a digest of the spec and the server rejects a mismatched client at
@@ -118,9 +122,9 @@ fl::RunResult run_mirror_client(const FedSpec& spec, const MirrorClientOptions& 
 
 /// Crash-resume policy of the elastic server (DESIGN.md "durable server").
 /// With a wal_dir, the server journals every applied upload / membership /
-/// stale application to an append-only CRC-framed log (net/wal.hpp) and
-/// writes a full checkpoint (Algorithm::save_state + the elastic-tail runner
-/// state, ckpt:: container) every `checkpoint_every` rounds.  A restarted
+/// stale application to an append-only CRC-framed log (net/wal.hpp), and the
+/// runner writes its checkpoint to wal_dir every `checkpoint_every` rounds
+/// (the RunOptions checkpoint fields), each followed by a WAL mark.  A restarted
 /// server pointed at the same wal_dir loads the newest valid checkpoint,
 /// replays the WAL suffix idempotently, re-binds, and resumes the in-flight
 /// round as clients reconnect through the rejoin path.

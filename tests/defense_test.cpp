@@ -414,5 +414,35 @@ TEST(Acceptance, DefendedFedKemfResists30PercentSignFlip) {
       << " survived=" << survived.final_accuracy;
 }
 
+// ---- Weight-average fusion goes through the same screens ----
+
+TEST(WeightAverageFusion, SanitizesAndCapsLikeDistillation) {
+  // A 34% Gaussian-noise minority (scale 1000) against sanitation and a
+  // three-member fusion cap: the weight-average mode must reject the noisy
+  // uploads and shed the surplus members, as the distillation mode does.
+  FedKemfOptions options;
+  options.knowledge_spec = tiny_spec();
+  options.distill_batch_size = 16;
+  options.fuse_by_weight_average = true;
+  options.sanitize.enabled = true;
+
+  RunOptions run;
+  run.rounds = 4;
+  run.sample_ratio = 1.0;
+  run.sim = sim::SimOptions{};
+  run.sim->adversary.poison_fraction = 0.34;
+  run.sim->adversary.poison_mode = sim::PoisonMode::kGaussianNoise;
+  run.sim->adversary.poison_noise_scale = 1000.0;
+  run.resources = ResourceLimits{};
+  run.resources->max_fusion_members = 3;
+
+  Federation fed(tiny_federation(21, /*clients=*/6));
+  FedKemf algorithm({tiny_spec()}, tiny_local(), options);
+  const RunResult result = run_federated(fed, algorithm, run);
+  EXPECT_GT(result.total_rejected_updates, 0u);
+  EXPECT_GT(result.total_degraded_rounds, 0u);
+  EXPECT_TRUE(state_finite(algorithm.global_model()));
+}
+
 }  // namespace
 }  // namespace fedkemf::fl

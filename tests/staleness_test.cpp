@@ -23,6 +23,7 @@
 #include "fl/runner.hpp"
 #include "fl/scaffold.hpp"
 #include "fl/stale_buffer.hpp"
+#include "obs/metrics.hpp"
 #include "sim/churn.hpp"
 #include "sim/simulator.hpp"
 
@@ -490,6 +491,90 @@ TEST(ChurnRuns, StaticChurnOptionsReproduceLegacyRunExactly) {
     EXPECT_FALSE(record.churn_tracked);
     EXPECT_FALSE(record.staleness_tracked);
   }
+}
+
+// ---- An external membership source (the elastic server's seam) ----
+
+/// FedAvg that logs the runner's membership calls and sampled cohorts.
+class LoggingFedAvg final : public FedAvg {
+ public:
+  using FedAvg::FedAvg;
+  void on_client_joined(std::size_t id) override {
+    calls.push_back("join " + std::to_string(id));
+    FedAvg::on_client_joined(id);
+  }
+  void on_client_evicted(std::size_t id) override {
+    calls.push_back("evict " + std::to_string(id));
+    FedAvg::on_client_evicted(id);
+  }
+  double round(std::size_t round_index, std::span<const std::size_t> sampled,
+               utils::ThreadPool& pool) override {
+    calls.push_back("round " + std::to_string(round_index));
+    cohorts.emplace_back(sampled.begin(), sampled.end());
+    return FedAvg::round(round_index, sampled, pool);
+  }
+  std::vector<std::string> calls;
+  std::vector<std::vector<std::size_t>> cohorts;
+};
+
+TEST(MembershipRuns, ScriptedSourceAppliesChangesInArrivalOrder) {
+  std::vector<MembershipSource::Round> script(3);
+  script[0].eligible = {0, 1, 2};
+  script[0].changes = {{0, true}, {1, true}, {2, true}};
+  // Client 1 drops and reconnects before round 1: evicted, then joined, with
+  // no departed-state retention in between.
+  script[1].eligible = {0, 1, 2};
+  script[1].changes = {{1, false}, {1, true}};
+  script[2].eligible = {0, 2};
+  script[2].changes = {{1, false}};
+  std::vector<std::string> hooks;
+  MembershipSource source;
+  source.start = [&](core::MemoryBudget* budget) {
+    hooks.push_back(budget == nullptr ? "start" : "start+budget");
+  };
+  source.begin_round = [&](std::size_t round) { return script.at(round); };
+  source.stop = [&] { hooks.push_back("stop"); };
+
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  Federation fed(small_federation());
+  LoggingFedAvg algorithm(mlp_spec(), local_config());
+  RunOptions run;
+  run.rounds = script.size();
+  run.sample_ratio = 1.0;
+  const RunResult result = run_federated(fed, algorithm, run, &source);
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
+
+  EXPECT_EQ(algorithm.calls,
+            (std::vector<std::string>{"join 0", "join 1", "join 2", "round 0", "evict 1",
+                                      "join 1", "round 1", "evict 1", "round 2"}));
+  EXPECT_EQ(algorithm.cohorts,
+            (std::vector<std::vector<std::size_t>>{{0, 1, 2}, {0, 1, 2}, {0, 2}}));
+  EXPECT_EQ(hooks, (std::vector<std::string>{"start", "stop"}));
+  ASSERT_EQ(result.history.size(), 3u);
+  EXPECT_TRUE(result.history[1].churn_tracked);
+  EXPECT_EQ(result.history[1].clients_joined, 1u);
+  EXPECT_EQ(result.history[1].clients_left, 1u);
+  EXPECT_EQ(result.total_joined, 4u);
+  EXPECT_EQ(result.total_left, 2u);
+  EXPECT_EQ(after.counter("fl.rounds") - before.counter("fl.rounds"), 3u);
+  EXPECT_EQ(after.counter("fl.evals") - before.counter("fl.evals"), 3u);
+}
+
+TEST(MembershipRuns, SourceIsStoppedWhenARoundThrows) {
+  bool stopped = false;
+  MembershipSource source;
+  source.begin_round = [](std::size_t) -> MembershipSource::Round {
+    throw std::runtime_error("no clients");
+  };
+  source.stop = [&] { stopped = true; };
+  Federation fed(small_federation());
+  FedAvg algorithm(mlp_spec(), local_config());
+  RunOptions run;
+  run.rounds = 2;
+  run.sim = sim::SimOptions{};
+  EXPECT_THROW(run_federated(fed, algorithm, run, &source), std::runtime_error);
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(algorithm.simulator(), nullptr);
 }
 
 }  // namespace

@@ -7,18 +7,22 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "data/synthetic.hpp"
 #include "fl/metrics.hpp"
+#include "fl/runner.hpp"
 #include "net/server.hpp"
 #include "net/service.hpp"
 #include "net/wal.hpp"
+#include "obs/telemetry.hpp"
 
 namespace {
 
@@ -378,6 +382,53 @@ TEST(ElasticCrashResume, SecondServerContinuesFromTheCheckpoint) {
   EXPECT_EQ(second.history.size(), 4u);
   EXPECT_GT(second.total_bytes, first.total_bytes);  // cumulative across legs
   EXPECT_GE(second.final_accuracy, 0.0);
+  EXPECT_TRUE(fs::exists(dir + "/ckpt_00000004.bin"));
+  fs::remove_all(dir);
+}
+
+// A shutdown request during round 1 (at its evaluation, through the phase
+// hook the runner's loop fires) stops the durable elastic server at that
+// round's end with a checkpoint; a second server on the same wal_dir then
+// finishes the run.
+std::atomic<int> g_evals_seen{0};
+
+void shutdown_at_second_eval(obs::Phase phase) {
+  if (phase == obs::Phase::kEval && ++g_evals_seen == 2) fl::request_shutdown();
+}
+
+TEST(ElasticGracefulShutdown, StopsWithACheckpointAndASecondServerFinishes) {
+  const std::string dir = unique_dir("shutdown");
+  const std::string socket = unique_socket_path("shutdown");
+  FedSpec spec = wal_spec();
+  spec.rounds = 4;
+
+  fl::clear_shutdown_request();
+  g_evals_seen = 0;
+  obs::set_phase_completion_hook(&shutdown_at_second_eval);
+  const fl::RunResult first = run_leg(spec, socket, dir);
+  obs::set_phase_completion_hook(nullptr);
+  fl::clear_shutdown_request();
+
+  EXPECT_TRUE(first.interrupted);
+  EXPECT_EQ(first.rounds_completed, 2u);
+  fl::RunOptions options;
+  options.checkpoint_dir = dir;
+  const std::optional<ckpt::Checkpoint> checkpoint = fl::latest_checkpoint(options);
+  ASSERT_TRUE(checkpoint.has_value());
+  EXPECT_EQ(checkpoint->next_round, 2u);
+
+  const fl::RunResult second = run_leg(spec, socket, dir);
+  EXPECT_FALSE(second.interrupted);
+  EXPECT_EQ(second.rounds_completed, 4u);
+  ASSERT_EQ(second.history.size(), 4u);
+  ASSERT_EQ(first.history.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(second.history[i].accuracy, first.history[i].accuracy) << "round " << i;
+    EXPECT_EQ(second.history[i].cumulative_bytes, first.history[i].cumulative_bytes)
+        << "round " << i;
+  }
+  EXPECT_GT(second.total_bytes, first.total_bytes);  // cumulative across servers
+  EXPECT_GT(second.history[2].cumulative_bytes, first.total_bytes);
   EXPECT_TRUE(fs::exists(dir + "/ckpt_00000004.bin"));
   fs::remove_all(dir);
 }

@@ -5,7 +5,10 @@
 //             simulator bit-for-bit (accuracy and per-round metered bytes).
 //   elastic   server-authoritative rounds over whatever clients are
 //             connected; disconnects map onto churn, late uploads onto the
-//             staleness buffer.  fedavg / fedprox / fednova only.
+//             staleness buffer.  fedavg / fedprox / fednova only.  Runs the
+//             runner's round loop, so it has the in-process run's fl.round
+//             and phase trace spans, fl.* round counters and checkpoint
+//             writer (--wal-dir).
 //   reference in-process run with no sockets — the parity baseline
 //             tools/run_federation.py diffs a distributed run against.
 //
